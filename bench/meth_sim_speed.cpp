@@ -22,6 +22,17 @@ namespace {
 
 // -- Kernel primitives ---------------------------------------------------------
 
+// The bottom layer: one resume() + yield() round trip on a raw fiber, i.e.
+// two context switches and nothing else.
+void BM_FiberSwitch(benchmark::State& state) {
+  kern::Fiber f([] {
+    for (;;) kern::Fiber::yield();
+  });
+  for (auto _ : state) f.resume();
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FiberSwitch);
+
 void BM_EventNotifyWait(benchmark::State& state) {
   kern::Simulation sim;
   kern::Module top(sim, "top");

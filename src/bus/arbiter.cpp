@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "kernel/process.hpp"
-#include "kernel/sched_trace.hpp"
 #include "kernel/simulation.hpp"
 #include "util/log.hpp"
 
@@ -38,7 +37,7 @@ kern::Time Arbiter::acquire(u32 priority) {
 
 void Arbiter::record_grant(kern::Simulation& sim, kern::Time waited) {
   const kern::Process* p = sim.current_process();
-  const u64 id = p != nullptr ? kern::sched_name_hash(p->name()) : 0;
+  const u64 id = p != nullptr ? p->trace_id() : 0;
   auto [it, inserted] = masters_.try_emplace(id);
   MasterGrantStats& m = it->second;
   if (inserted) {

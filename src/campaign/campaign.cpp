@@ -149,13 +149,18 @@ void CampaignRunner::worker_loop() {
     {
       std::lock_guard<std::mutex> lk(mu_);
       records_[job.index] = local;
-      --inflight_;
-      if (queue_.empty() && inflight_ == 0) cv_idle_.notify_all();
     }
     // After the commit and outside the lock: the hook observes the same
     // record stats() now serves, and may block (socket writes) without
-    // stalling other workers' commits.
+    // stalling other workers' commits. The job stays in flight until the
+    // hook returns, so wait_idle() also waits for its result to stream out
+    // (the service closes its connections right after wait_idle()).
     if (completion_hook_) completion_hook_(local);
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      --inflight_;
+      if (queue_.empty() && inflight_ == 0) cv_idle_.notify_all();
+    }
   }
 }
 

@@ -592,8 +592,9 @@ class CampaignRunner {
   /// record is committed (visible to stats()). Unlike the job's future —
   /// which resolves *before* the commit — the hook always sees the complete
   /// JobStats, so streaming consumers (the campaign service) can forward
-  /// results as they land. Set it before the first submit(); it runs outside
-  /// the runner's locks and must not call back into this runner.
+  /// results as they land; wait_idle() returns only after every hook call
+  /// has returned. Set it before the first submit(); it runs outside the
+  /// runner's locks and must not call back into this runner.
   void set_completion_hook(std::function<void(const JobStats&)> hook) {
     completion_hook_ = std::move(hook);
   }

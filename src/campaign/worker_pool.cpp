@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include "campaign/journal.hpp"
+#include "kernel/process.hpp"
+#include "kernel/simulation.hpp"
 #include "util/strings.hpp"
 
 namespace adriatic::campaign {
@@ -33,6 +35,46 @@ void heartbeat_handler(int) noexcept {
   // Best-effort: a full pipe just drops a beat (the parent reads eagerly).
   [[maybe_unused]] const ssize_t n =
       ::write(g_heartbeat_fd, g_heartbeat_frame, sizeof g_heartbeat_frame);
+}
+
+// Child-side crash report. A fiber stack overflow faults on the stack's
+// guard page with no stack left to run a handler on, so SIGSEGV is taken on
+// an alternate stack. The handler names the simulation process that was
+// running, using only write(2), then restores the default action and
+// re-raises: the parent still sees death by SIGSEGV and quarantines it.
+alignas(16) char g_crash_stack[64 * 1024];
+
+void write_stderr(const char* s, usize n) noexcept {
+  [[maybe_unused]] const ssize_t w = ::write(STDERR_FILENO, s, n);
+}
+
+void crash_handler(int sig) noexcept {
+  static constexpr char kHead[] = "campaign worker: SIGSEGV in ";
+  write_stderr(kHead, sizeof kHead - 1);
+  if (const kern::Process* p = kern::Simulation::running_process()) {
+    static constexpr char kProc[] = "simulation process ";
+    write_stderr(kProc, sizeof kProc - 1);
+    write_stderr(p->name().data(), p->name().size());
+    static constexpr char kHint[] = " (fiber stack overflow?)\n";
+    write_stderr(kHint, sizeof kHint - 1);
+  } else {
+    static constexpr char kNone[] = "no simulation process\n";
+    write_stderr(kNone, sizeof kNone - 1);
+  }
+  ::signal(sig, SIG_DFL);
+  ::raise(sig);  // delivered, with the default action, once we return
+}
+
+void install_crash_handler() noexcept {
+  stack_t ss = {};
+  ss.ss_sp = g_crash_stack;
+  ss.ss_size = sizeof g_crash_stack;
+  ::sigaltstack(&ss, nullptr);
+  struct sigaction sa = {};
+  sa.sa_handler = crash_handler;
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = SA_ONSTACK;
+  ::sigaction(SIGSEGV, &sa, nullptr);
 }
 
 [[nodiscard]] const char* signal_name(int sig) {
@@ -249,6 +291,7 @@ void ProcessWorkerPool::child_main(const ChildRequest& req, int write_fd) {
   sigemptyset(&dfl.sa_mask);
   ::sigaction(SIGINT, &dfl, nullptr);
   ::sigaction(SIGTERM, &dfl, nullptr);
+  install_crash_handler();
 
   // Heartbeats: ~10/s via SIGALRM, written straight from the handler. The
   // child stays single-threaded on purpose — a helper thread after a

@@ -518,7 +518,6 @@ void Drcf::auto_prefetch_after(usize current) {
 }
 
 void Drcf::arb_and_instr() {
-  std::vector<bus::word> fetch_buf;
   for (;;) {
     while (load_queue_.empty()) kern::wait(load_request_event_);
     const usize target = load_queue_.front();
@@ -536,7 +535,7 @@ void Drcf::arb_and_instr() {
       // Background cache fill: no slot, no victim, no reconfiguring_ window
       // — the fabric keeps serving calls while the fetch runs. This is the
       // overlap that hides reconfiguration latency.
-      fill_cache(target, fetch_buf);
+      fill_cache(target, fetch_buf_);
       continue;
     }
 
@@ -603,7 +602,7 @@ void Drcf::arb_and_instr() {
     } else if (cfg_.model_config_traffic) {
       ctx.fetch_in_progress = true;
       ctx.fetch_started = t0;
-      const FetchResult res = fetch_with_recovery(ctx, target, fetch_buf);
+      const FetchResult res = fetch_with_recovery(ctx, target, fetch_buf_);
       ctx.fetch_in_progress = false;
       fetch_ok = res.ok;
       fetch_aborted = res.aborted;

@@ -399,6 +399,10 @@ class Drcf : public kern::Module, public bus::BusSlaveIf {
   /// Preemption snapshots for contexts the cache does not hold (and for
   /// cache-less fabrics); cache-held contexts park in their plane instead.
   std::map<usize, TaskState> parked_snapshots_;
+  /// arb_and_instr's fetch buffer. A member, not a local of that endless
+  /// process, so it is freed with the fabric: a process still suspended
+  /// when its simulation is destroyed never runs its locals' destructors.
+  std::vector<bus::word> fetch_buf_;
   fault::FaultLedger ledger_;
   std::unique_ptr<fault::BusFaultInterposer> fetch_interposer_;
   u64 site_id_ = 0;  ///< sched_name_hash(name()), the ledger site id.

@@ -3,12 +3,13 @@
 #include <algorithm>
 
 #include "kernel/process.hpp"
+#include "kernel/sched_trace.hpp"
 #include "kernel/simulation.hpp"
 
 namespace adriatic::kern {
 
 Event::Event(Simulation& sim, std::string name)
-    : sim_(&sim), name_(std::move(name)) {}
+    : sim_(&sim), name_(std::move(name)), trace_id_(sched_name_hash(name_)) {}
 
 Event::~Event() {
   // Mutual deregistration: processes keep raw pointers to the events they

@@ -35,6 +35,8 @@ class Event {
   void cancel();             ///< Withdraw any pending notification.
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  /// sched_name_hash(name()), computed once at construction.
+  [[nodiscard]] u64 trace_id() const noexcept { return trace_id_; }
   [[nodiscard]] Simulation& sim() const noexcept { return *sim_; }
   [[nodiscard]] bool has_pending() const noexcept {
     return pending_ != Pending::kNone;
@@ -58,6 +60,7 @@ class Event {
 
   Simulation* sim_;
   std::string name_;
+  u64 trace_id_;
   Pending pending_ = Pending::kNone;
   Time pending_time_;   ///< Absolute trigger time when pending_ == kTimed.
   u64 generation_ = 0;  ///< Invalidates stale queue entries.

@@ -1,4 +1,6 @@
-// Stackful fibers (cooperative user-level contexts) built on POSIX ucontext.
+// Stackful fibers (cooperative user-level contexts): a hand-written context
+// switch on x86-64, POSIX ucontext elsewhere, each fiber on its own
+// guard-paged stack (see fiber.cpp).
 //
 // SystemC SC_THREAD processes may call wait() arbitrarily deep inside nested
 // function calls — e.g. the DRCF suspends an interface-method call made from

@@ -3,12 +3,17 @@
 #include <stdexcept>
 
 #include "kernel/channel.hpp"
+#include "kernel/sched_trace.hpp"
 #include "kernel/simulation.hpp"
 
 namespace adriatic::kern {
 
 Object::Object(Simulation& sim, std::string name)
-    : sim_(&sim), parent_(nullptr), name_(std::move(name)), full_name_(name_) {
+    : sim_(&sim),
+      parent_(nullptr),
+      name_(std::move(name)),
+      full_name_(name_),
+      trace_id_(sched_name_hash(full_name_)) {
   register_self();
 }
 
@@ -16,7 +21,8 @@ Object::Object(Object& parent, std::string name)
     : sim_(&parent.sim()),
       parent_(&parent),
       name_(std::move(name)),
-      full_name_(parent.name() + "." + name_) {
+      full_name_(parent.name() + "." + name_),
+      trace_id_(sched_name_hash(full_name_)) {
   parent_->children_.push_back(this);
   register_self();
 }

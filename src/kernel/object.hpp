@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "util/types.hpp"
+
 namespace adriatic::kern {
 
 class Simulation;
@@ -24,6 +26,9 @@ class Object {
 
   [[nodiscard]] const std::string& basename() const noexcept { return name_; }
   [[nodiscard]] const std::string& name() const noexcept { return full_name_; }
+  /// sched_name_hash(name()), computed once: the id scheduler trace records
+  /// and grant accounting use for this entity.
+  [[nodiscard]] u64 trace_id() const noexcept { return trace_id_; }
   [[nodiscard]] Object* parent() const noexcept { return parent_; }
   [[nodiscard]] Simulation& sim() const noexcept { return *sim_; }
   [[nodiscard]] const std::vector<Object*>& children() const noexcept {
@@ -41,6 +46,7 @@ class Object {
   Object* parent_;
   std::string name_;
   std::string full_name_;
+  u64 trace_id_;
   std::vector<Object*> children_;
 };
 

@@ -36,6 +36,8 @@ thread_local Process* t_running = nullptr;
 }
 }  // namespace
 
+const Process* Simulation::running_process() noexcept { return t_running; }
+
 Simulation::Simulation() = default;
 Simulation::~Simulation() = default;
 
@@ -118,13 +120,13 @@ DeadlockReport Simulation::build_stall_report(DeadlockReport::Kind k) const {
     if (p->state() != Process::State::kWaitDynamic || p->is_daemon()) continue;
     BlockedWaiter w;
     w.process = p->name();
-    w.process_id = sched_name_hash(w.process);
+    w.process_id = p->trace_id();
     w.is_thread = p->is_thread();
     w.blocked_since = p->blocked_since();
     w.wait_duration = now_ - w.blocked_since;
     for (const Event* e : p->waited_events_) {
       w.awaited.push_back(e->name_);
-      w.awaited_ids.push_back(sched_name_hash(e->name_));
+      w.awaited_ids.push_back(e->trace_id());
     }
     report.waiters.push_back(std::move(w));
   }
@@ -269,7 +271,7 @@ void Simulation::evaluate() {
     t_running = p;
     ++activations_;
     if (!p->is_daemon()) last_progress_time_ = now_;
-    emit(SchedRecord::Kind::kDispatch, sched_name_hash(p->name()));
+    emit(SchedRecord::Kind::kDispatch, p->trace_id());
     p->activate();
     t_running = nullptr;
     current_process_ = nullptr;
@@ -283,7 +285,7 @@ void Simulation::update() {
   update_scratch_.swap(update_queue_);
   for (Channel* ch : update_scratch_) {
     ch->update_requested_ = false;
-    emit(SchedRecord::Kind::kUpdate, sched_name_hash(ch->name()));
+    emit(SchedRecord::Kind::kUpdate, ch->trace_id());
     ch->update();
   }
   ADRIATIC_CHECK(update_queue_.empty(),
@@ -301,7 +303,7 @@ bool Simulation::notify_delta_queue() {
                    "delta-queue slot names an event with no delta refs");
     --e->delta_refs_;
     if (e->pending_ == Event::Pending::kDelta) {
-      emit(SchedRecord::Kind::kDeltaNotify, sched_name_hash(e->name_));
+      emit(SchedRecord::Kind::kDeltaNotify, e->trace_id());
       e->trigger();
     }
   }
@@ -446,8 +448,7 @@ StopReason Simulation::run(Time duration) {
         if (entry.event->generation_ == entry.generation &&
             entry.event->pending_ == Event::Pending::kTimed &&
             entry.event->pending_time_ == now_) {
-          emit(SchedRecord::Kind::kTimedNotify,
-               sched_name_hash(entry.event->name_));
+          emit(SchedRecord::Kind::kTimedNotify, entry.event->trace_id());
           entry.event->trigger();
         } else if (timed_stale_ > 0) {
           --timed_stale_;

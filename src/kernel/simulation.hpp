@@ -154,6 +154,10 @@ class Simulation {
   [[nodiscard]] Process* current_process() const noexcept {
     return current_process_;
   }
+  /// The process executing right now on the calling OS thread, whichever
+  /// simulation it belongs to; nullptr outside activations. Only reads a
+  /// thread-local pointer, so a signal handler may call it.
+  [[nodiscard]] static const Process* running_process() noexcept;
 
   // -- Scheduler tracing & conformance hooks --------------------------------
 

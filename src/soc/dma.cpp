@@ -69,7 +69,6 @@ bool Dma::write(bus::addr_t add, bus::word* data) {
 }
 
 void Dma::worker() {
-  std::vector<bus::word> buffer;
   for (;;) {
     kern::wait(start_event_);
     usize remaining = static_cast<usize>(len_);
@@ -77,9 +76,9 @@ void Dma::worker() {
     bus::addr_t d = static_cast<bus::addr_t>(dst_);
     while (remaining > 0) {
       const usize chunk = std::min(chunk_words_, remaining);
-      buffer.assign(chunk, 0);
-      mst_port->burst_read(s, buffer, 0);
-      mst_port->burst_write(d, buffer, 0);
+      buffer_.assign(chunk, 0);
+      mst_port->burst_read(s, buffer_, 0);
+      mst_port->burst_write(d, buffer_, 0);
       stats_.words_moved += chunk;
       s += static_cast<bus::addr_t>(chunk);
       d += static_cast<bus::addr_t>(chunk);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "bus/interfaces.hpp"
 #include "kernel/event.hpp"
@@ -56,6 +57,9 @@ class Dma : public kern::Module, public bus::BusSlaveIf {
   kern::Event start_event_;
   kern::Event done_event_;
   DmaStats stats_;
+  /// worker()'s transfer buffer; a member so it is freed with the Dma even
+  /// though the endless worker process never returns.
+  std::vector<bus::word> buffer_;
 };
 
 }  // namespace adriatic::soc

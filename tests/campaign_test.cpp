@@ -743,6 +743,61 @@ TEST(CampaignTest, SegfaultingChildIsQuarantinedWithSignalReason) {
   EXPECT_EQ(stats[1].worker_deaths, 0u);
 }
 
+// Recurses until the guard page under the fiber stack stops it.
+[[gnu::noinline]] u64 recurse_forever(u64 depth) {
+  volatile char pad[1024];
+  pad[0] = static_cast<char>(depth);
+  if (depth == ~u64{0}) return 0;  // never: the guard page hits first
+  return recurse_forever(depth + 1) + static_cast<u64>(pad[0]);
+}
+
+TEST(CampaignTest, FiberStackOverflowIsQuarantinedAndNamed) {
+  ADRIATIC_SKIP_WITHOUT_FORK();
+  // A thread process that overflows its stack faults on the guard page: the
+  // child names the process on stderr, dies by SIGSEGV, and is quarantined,
+  // while the rest of the sweep runs clean in its own children.
+  testing::internal::CaptureStderr();
+  CampaignRunner runner(2, ExecutionMode::kProcesses);
+  ASSERT_EQ(runner.mode(), ExecutionMode::kProcesses);
+  constexpr u64 kSeeds[] = {3, 7, 11};
+  std::vector<std::future<void>> good;
+  for (const u64 seed : kSeeds)
+    good.push_back(runner.submit("seed" + std::to_string(seed),
+                                 [seed](JobContext& ctx) {
+                                   const auto d = run_seeded_sim(seed);
+                                   ctx.record_user_data(std::to_string(d.back()));
+                                 }));
+  JobOptions opt;
+  opt.max_attempts = 1;
+  auto overflow = runner.submit("overflow", opt, [](JobContext&) {
+    kern::Simulation sim;
+    kern::Module top(sim, "top");
+    kern::SpawnOptions small;
+    small.stack_bytes = 64 * 1024;
+    top.spawn_thread("deep", [] { (void)recurse_forever(0); }, small);
+    sim.run();
+  });
+  EXPECT_THROW(overflow.get(), std::runtime_error);
+  for (auto& f : good) f.get();
+  runner.wait_idle();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("SIGSEGV in simulation process top.deep"),
+            std::string::npos)
+      << err;
+  const auto stats = runner.stats();
+  ASSERT_EQ(stats.size(), 4u);
+  for (usize i = 0; i < 3; ++i) {
+    EXPECT_TRUE(stats[i].done) << stats[i].label;
+    EXPECT_EQ(stats[i].worker_deaths, 0u);
+    EXPECT_EQ(stats[i].user_data,
+              std::to_string(run_seeded_sim(kSeeds[i]).back()));
+  }
+  EXPECT_FALSE(stats[3].done);
+  EXPECT_TRUE(stats[3].quarantined);
+  EXPECT_EQ(stats[3].quarantine_reason, "signal:SIGSEGV");
+  EXPECT_EQ(stats[3].worker_deaths, 1u);
+}
+
 TEST(CampaignTest, SpinningChildIsKilledByWallDeadline) {
   ADRIATIC_SKIP_WITHOUT_FORK();
   CampaignRunner runner(1, ExecutionMode::kProcesses);

@@ -3,6 +3,8 @@
 // the three Sec. 5.4 limitation diagnostics.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "accel/accel_lib.hpp"
 #include "morphosys/assembler.hpp"
 #include "netlist/design.hpp"
@@ -55,7 +57,9 @@ Design make_reference_design(bool split_bus = true) {
   cpu.master_bus = "system_bus";
   cpu.program = [](soc::Cpu& c) {
     // Seed input data.
-    std::vector<bus::word> payload{3, 1, 4, 1, 5, 9, 2, 6};
+    // Fixed-size arrays, not vectors: the Limitation-3 test leaves this
+    // program suspended forever, and a suspended frame is never unwound.
+    const std::array<bus::word, 8> payload{3, 1, 4, 1, 5, 9, 2, 6};
     c.burst_write(0x1000, payload);
     // CRC on HWA.
     c.write(0x100 + soc::HwAccel::kSrc, 0x1000);
@@ -64,7 +68,7 @@ Design make_reference_design(bool split_bus = true) {
     c.write(0x100 + soc::HwAccel::kCtrl, 1);
     c.poll_until(0x100 + soc::HwAccel::kStatus, soc::HwAccel::kDone, 100_ns);
     // Matmul on HWB: A = B = 4x4 ramp.
-    std::vector<bus::word> mats(32);
+    std::array<bus::word, 32> mats{};
     for (usize i = 0; i < 16; ++i) mats[i] = mats[16 + i] = static_cast<bus::word>(i);
     c.burst_write(0x1200, mats);
     c.write(0x200 + soc::HwAccel::kSrc, 0x1200);
