@@ -4,14 +4,20 @@
 // overhead versus a raw accelerator model.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "accel/accel_lib.hpp"
 #include "bench_common.hpp"
 #include "campaign/campaign.hpp"
+#include "campaign/journal.hpp"
 #include "conformance/digest.hpp"
 #include "memory/memory.hpp"
 
@@ -163,6 +169,37 @@ void BM_CampaignThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * kJobs);
 }
 BENCHMARK(BM_CampaignThroughput)->Arg(1)->Arg(2)->Arg(4);
+
+// Campaign journal commit: each thread appends D records (the write-ahead
+// point of every finished job) to one journal in the temp directory. A
+// record returns once an fsync covers it; concurrent threads share fsyncs
+// by group commit, so records/s grows with the thread count while one
+// thread pays one fsync per record. Wall time, since the cost is the disk.
+std::unique_ptr<campaign::CampaignJournal> g_bench_journal;
+
+void BM_JournalCommit(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("adriatic_bm_journal_" + std::to_string(::getpid()) + ".wal"))
+          .string();
+  // Thread 0 sets up before, and tears down after, the start/stop
+  // barriers every thread passes at the loop boundaries.
+  if (state.thread_index() == 0)
+    g_bench_journal = campaign::CampaignJournal::create(path, "bench");
+  campaign::JobStats stats;
+  stats.index = static_cast<usize>(state.thread_index());
+  stats.label = "point" + std::to_string(stats.index);
+  stats.done = true;
+  stats.digest = 0x5eedf00dULL;
+  for (auto _ : state) g_bench_journal->record_done(stats);
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+  state.SetLabel("layer=campaign-journal");
+  if (state.thread_index() == 0) {
+    g_bench_journal.reset();
+    std::remove(path.c_str());
+  }
+}
+BENCHMARK(BM_JournalCommit)->Threads(1)->Threads(4)->UseRealTime();
 
 void BM_SignalPropagation(benchmark::State& state) {
   kern::Simulation sim;

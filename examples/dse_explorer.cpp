@@ -232,6 +232,7 @@ int main(int argc, char** argv) {
     }
     for (usize i = 0; i < n_jobs; ++i)
       journal->record_planned(i, point_spec(i), job_label(i));
+    journal->flush();  // one fsync for the whole plan
   }
 
   // Digest-keyed cross-run cache: a planned job whose spec hash already has
@@ -400,9 +401,11 @@ int main(int argc, char** argv) {
       if (rec.index < job_stats.size()) job_stats[rec.index] = rec;
     // Feed the cache with every cleanly finished fresh result (store()
     // itself ignores failed/quarantined/cache-served stats).
-    if (cache != nullptr)
+    if (cache != nullptr) {
       for (usize i = 0; i < n_jobs; ++i)
         cache->store(point_spec(i), job_stats[i]);
+      cache->flush();
+    }
     // Rebuild print-ready outcomes for jobs that did not run in this
     // address space: process-mode children, cache hits and journal
     // restores all carry their SweepOutcome packed in user_data.

@@ -20,13 +20,15 @@
 //               [--mem-budget-mb N] [--inject-oversized]
 //               [--server SOCKET]
 //
-// With --journal every planned job, begun attempt and finished result is an
-// fsync'd write-ahead record; a sweep killed mid-run (SIGKILL included)
-// restarts with --resume, re-running only the jobs the journal does not show
-// as done. SIGINT/SIGTERM stop the sweep gracefully: running simulations get
-// request_stop(), the journal is flushed, and --report still emits a valid
-// partial report (exit status 130). --verify-resume re-runs completed jobs
-// too and checks their scheduler-trace digests against the journaled ones.
+// With --journal every planned job, begun attempt and finished result is a
+// write-ahead record: the plan is fsync'd once, a finished result before the
+// sweep acts on it, and begun records ride along with the next sync. A
+// sweep killed mid-run (SIGKILL included) restarts with --resume,
+// re-running only the jobs the journal does not show as done. SIGINT/SIGTERM
+// stop the sweep gracefully: running simulations get request_stop(), the
+// journal is flushed, and --report still emits a valid partial report (exit
+// status 130). --verify-resume re-runs completed jobs too and checks their
+// scheduler-trace digests against the journaled ones.
 //
 // --processes runs every job in a forked child (crash containment: a
 // segfaulting or spinning job is quarantined with a structured reason, the
@@ -334,6 +336,7 @@ int main(int argc, char** argv) {
       journal->record_planned(configs.size() + debug_jobs.size(),
                               campaign::spec_hash(kOversizedLabel),
                               kOversizedLabel);
+    journal->flush();  // one fsync for the whole plan
   }
 
   // Digest-keyed cross-run cache: a planned job whose spec hash already has
@@ -470,9 +473,11 @@ int main(int argc, char** argv) {
 
     // Feed the cache with every cleanly finished fresh result (store()
     // ignores failed/quarantined/cache-served stats itself).
-    if (cache != nullptr)
+    if (cache != nullptr) {
       for (usize i = 0; i < configs.size(); ++i)
         cache->store(point_spec(configs[i]), job_stats[i]);
+      cache->flush();
+    }
   }
 
   Table t("Fault sweep: recovery policy x fetch error rate x scheduler (" +

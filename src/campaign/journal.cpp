@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 
 #include "util/log.hpp"
@@ -76,6 +77,63 @@ std::optional<std::string> strip_checksum(const std::string& line) {
   return content;
 }
 
+LineWriter::~LineWriter() {
+  sync();
+  ::close(fd_);
+}
+
+std::optional<u64> LineWriter::append(const std::string& content) {
+  const std::string line = content + checksum_suffix(content) + "\n";
+  std::lock_guard<std::mutex> lk(mu_);
+  usize off = 0;
+  while (off < line.size()) {
+    const ssize_t n = ::write(fd_, line.data() + off, line.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      log::error() << what_ << ": write failed on " << path_ << ": "
+                   << std::strerror(errno);
+      written_ += off;  // A torn tail: the checksum rejects it on read.
+      return std::nullopt;
+    }
+    off += static_cast<usize>(n);
+  }
+  written_ += off;
+  return written_;
+}
+
+bool LineWriter::sync() {
+  u64 end = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    end = written_;
+  }
+  return sync(end);
+}
+
+bool LineWriter::sync(u64 end) {
+  std::unique_lock<std::mutex> lk(mu_);
+  // Follow an fsync in flight; it may already cover `end`.
+  while (synced_ < end && syncing_) synced_cv_.wait(lk);
+  if (synced_ >= end) return true;
+  // Lead: one fsync outside the lock covers every line written so far, so
+  // appends (and their own sync requests) queue behind the disk only once.
+  syncing_ = true;
+  const u64 target = written_;
+  lk.unlock();
+  const int rc = ::fsync(fd_);
+  const int err = errno;
+  lk.lock();
+  syncing_ = false;
+  if (rc == 0) synced_ = target;
+  synced_cv_.notify_all();
+  if (rc != 0) {
+    log::error() << what_ << ": fsync failed on " << path_ << ": "
+                 << std::strerror(err);
+    return false;
+  }
+  return true;
+}
+
 u64 spec_hash(const std::string& label, u64 param_digest) {
   u64 h = fnv1a(label);
   for (u32 shift = 0; shift < 64; shift += 8) {
@@ -94,8 +152,10 @@ std::unique_ptr<CampaignJournal> CampaignJournal::create(
   }
   auto journal =
       std::unique_ptr<CampaignJournal>(new CampaignJournal(fd, path));
+  // A durable header keeps even an empty journal resumable.
   journal->append_line(std::string(kHeaderMagic) +
-                       " name=" + encode_field(campaign));
+                           " name=" + encode_field(campaign),
+                       true);
   return journal;
 }
 
@@ -109,38 +169,24 @@ std::unique_ptr<CampaignJournal> CampaignJournal::append_to(
   return std::unique_ptr<CampaignJournal>(new CampaignJournal(fd, path));
 }
 
-CampaignJournal::~CampaignJournal() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void CampaignJournal::append_line(const std::string& content) {
-  const std::string line = content + checksum_suffix(content) + "\n";
-  std::lock_guard<std::mutex> lk(mu_);
-  usize off = 0;
-  while (off < line.size()) {
-    const ssize_t n = ::write(fd_, line.data() + off, line.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      log::error() << "campaign journal: write failed on " << path_;
-      return;
-    }
-    off += static_cast<usize>(n);
-  }
-  // The write-ahead guarantee: a record is on disk before the campaign acts
-  // on it, so SIGKILL can lose at most the in-flight line (whose torn tail
-  // the checksum rejects on read).
-  ::fsync(fd_);
+void CampaignJournal::append_line(const std::string& content, bool durable) {
+  const std::optional<u64> end = log_.append(content);
+  // The write-ahead guarantee: a record the campaign acts on is on disk
+  // before it does, so SIGKILL can lose at most lines nobody acted on yet
+  // (a torn tail the checksum rejects on read).
+  if (durable && end.has_value()) log_.sync(*end);
 }
 
 void CampaignJournal::record_planned(usize index, u64 spec,
                                      const std::string& label) {
   append_line(strfmt("P %zu %016llx ", index,
                      static_cast<unsigned long long>(spec)) +
-              encode_field(label));
+                  encode_field(label),
+              false);
 }
 
 void CampaignJournal::record_begun(usize index, u32 attempt) {
-  append_line(strfmt("B %zu %u", index, attempt));
+  append_line(strfmt("B %zu %u", index, attempt), false);
 }
 
 std::string encode_job_stats(const JobStats& s) {
@@ -249,22 +295,20 @@ JobStats decode_job_stats(const std::string& tail) {
 }
 
 void CampaignJournal::record_done(const JobStats& s) {
-  append_line(strfmt("D %zu ", s.index) + encode_job_stats(s));
+  append_line(strfmt("D %zu ", s.index) + encode_job_stats(s), true);
 }
 
 void CampaignJournal::record_worker_death(usize index,
                                           const std::string& reason) {
-  append_line(strfmt("X %zu ", index) + encode_field(reason));
+  append_line(strfmt("X %zu ", index) + encode_field(reason), true);
 }
 
 void CampaignJournal::record_cache_hit(u64 spec) {
-  append_line(strfmt("C %016llx", static_cast<unsigned long long>(spec)));
+  append_line(strfmt("C %016llx", static_cast<unsigned long long>(spec)),
+              false);
 }
 
-void CampaignJournal::flush() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ::fsync(fd_);
-}
+bool CampaignJournal::flush() { return log_.sync(); }
 
 std::optional<JournalState> read_journal(const std::string& path) {
   std::ifstream in(path);

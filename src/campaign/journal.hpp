@@ -1,11 +1,16 @@
 // Crash-safe campaign journaling: a write-ahead journal that survives
 // SIGKILL mid-sweep. Every planned job, begun attempt, and completed result
-// is an fsync'd append-only line with a per-line checksum (torn tail writes
-// from a crash are detected and dropped on read). A killed campaign resumes
-// with `--resume <journal>`: completed JobStats are restored verbatim from
-// their `D` records, only unfinished/quarantined jobs re-run, and the
-// journaled scheduler-trace digests let the resumed results be verified
-// against the original run.
+// is an append-only line with a per-line checksum (torn tail writes from a
+// crash are detected and dropped on read). Only the records a campaign acts
+// on wait for durability: record_done (D) and record_worker_death (X) return
+// once an fsync covers their line, so a result is on disk before it is
+// committed, reported or cached. P, B and C lines are written but not
+// synced; the file is append-only, so the next D/X fsync (or flush())
+// covers them too. Concurrent D/X appends share one fsync (group commit).
+// A killed campaign resumes with `--resume <journal>`: completed JobStats
+// are restored verbatim from their `D` records, only unfinished/quarantined
+// jobs re-run, and the journaled scheduler-trace digests let the resumed
+// results be verified against the original run.
 //
 // Line grammar (space-separated tokens, strings percent-encoded):
 //   J adriatic-campaign-journal v1 name=<campaign>
@@ -20,6 +25,7 @@
 // leaves the job eligible for re-run.
 #pragma once
 
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,6 +60,7 @@ namespace adriatic::campaign {
 /// Splits "content cks=hex" and verifies; nullopt on mismatch (torn line).
 [[nodiscard]] std::optional<std::string> strip_checksum(
     const std::string& line);
+
 /// Serialises every populated JobStats field as the `key=value ...` tail of
 /// a D record (everything after "D <index>"). Field order is fixed and
 /// optional blocks are emitted only when their has_* flag (or a non-default
@@ -64,6 +71,46 @@ namespace adriatic::campaign {
 /// of the tail — callers carry it beside the payload.
 [[nodiscard]] JobStats decode_job_stats(const std::string& tail);
 
+/// The append-only file behind the journal and the result cache. append()
+/// writes one checksummed line with write(2) under the mutex; sync() makes
+/// lines durable by leader/follower group commit: the first caller whose
+/// lines are not yet synced fsyncs everything written so far outside the
+/// lock, and callers arriving meanwhile wait for that fsync (or lead the
+/// next one if their lines came after it started).
+class LineWriter {
+ public:
+  /// Takes ownership of `fd`; `what` prefixes log lines ("campaign journal").
+  LineWriter(int fd, std::string path, const char* what)
+      : fd_(fd), path_(std::move(path)), what_(what) {}
+  /// Syncs what is still unsynced, then closes the file.
+  ~LineWriter();
+
+  LineWriter(const LineWriter&) = delete;
+  LineWriter& operator=(const LineWriter&) = delete;
+
+  /// Writes `content` + checksum_suffix + newline. Returns the byte count
+  /// written through this writer up to the end of the line (the argument
+  /// sync() takes), or nullopt when the write failed (logged).
+  std::optional<u64> append(const std::string& content);
+  /// Returns once every byte up to `end` is fsync'd. False when an fsync
+  /// failed (logged); a failed fsync never counts its range as synced.
+  bool sync(u64 end);
+  /// sync() of everything appended so far.
+  bool sync();
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable synced_cv_;
+  int fd_ = -1;
+  std::string path_;
+  const char* what_;
+  u64 written_ = 0;  ///< Bytes written through this writer.
+  u64 synced_ = 0;   ///< Prefix of written_ an fsync has covered.
+  bool syncing_ = false;  ///< A leader's fsync is in flight.
+};
+
 class CampaignJournal {
  public:
   /// Creates (truncates) `path` and writes the header. Null on I/O error.
@@ -71,33 +118,40 @@ class CampaignJournal {
                                                  const std::string& campaign);
   /// Opens an existing journal for appending (resume). Null on I/O error.
   static std::unique_ptr<CampaignJournal> append_to(const std::string& path);
-  ~CampaignJournal();
 
   CampaignJournal(const CampaignJournal&) = delete;
   CampaignJournal& operator=(const CampaignJournal&) = delete;
 
+  /// Written, not synced.
   void record_planned(usize index, u64 spec, const std::string& label);
+  /// Written, not synced.
   void record_begun(usize index, u32 attempt);
+  /// Returns once the record is durable (the write-ahead point).
   void record_done(const JobStats& stats);
   /// Process mode: a forked worker child died without a result (crash,
   /// timeout kill, heartbeat kill); `reason` is WorkerFailure::reason().
+  /// Returns once the record is durable.
   void record_worker_death(usize index, const std::string& reason);
-  /// The job keyed by `spec` was served from the result cache.
+  /// The job keyed by `spec` was served from the result cache. Written, not
+  /// synced.
   void record_cache_hit(u64 spec);
-  /// fsync the journal fd (appends already sync per record; this is for
-  /// explicit barriers, e.g. before a graceful signal-stop exit).
-  void flush();
+  /// Makes every record written so far durable (one group-commit fsync at
+  /// most): after planning, and before a graceful exit. False when the
+  /// fsync failed (logged).
+  bool flush();
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  [[nodiscard]] const std::string& path() const noexcept {
+    return log_.path();
+  }
 
  private:
-  CampaignJournal(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
-  /// Appends `content` + checksum + newline, then fsyncs.
-  void append_line(const std::string& content);
+  CampaignJournal(int fd, std::string path)
+      : log_(fd, std::move(path), "campaign journal") {}
+  /// Appends `content` + checksum + newline; with `durable`, returns only
+  /// once an fsync covers the line.
+  void append_line(const std::string& content, bool durable);
 
-  std::mutex mu_;  ///< Serialises worker-thread appends.
-  int fd_ = -1;
-  std::string path_;
+  LineWriter log_;
 };
 
 /// Everything a resume needs from a journal read-back.

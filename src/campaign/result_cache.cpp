@@ -1,9 +1,7 @@
 #include "campaign/result_cache.hpp"
 
 #include <fcntl.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -61,20 +59,10 @@ std::unique_ptr<ResultCache> ResultCache::open(const std::string& path) {
   if (header_ok) {
     cache->load(text);
   } else {
-    const std::string line =
-        std::string(kCacheHeader) + checksum_suffix(kCacheHeader) + "\n";
-    if (::write(fd, line.data(), line.size()) !=
-        static_cast<ssize_t>(line.size())) {
-      log::error() << "result cache: cannot write header to " << path;
-      return nullptr;
-    }
-    ::fsync(fd);
+    const std::optional<u64> end = cache->log_.append(kCacheHeader);
+    if (!end.has_value() || !cache->log_.sync(*end)) return nullptr;
   }
   return cache;
-}
-
-ResultCache::~ResultCache() {
-  if (fd_ >= 0) ::close(fd_);
 }
 
 void ResultCache::load(const std::string& text) {
@@ -124,26 +112,17 @@ std::optional<JobStats> ResultCache::lookup(u64 spec) const {
 void ResultCache::store(u64 spec, const JobStats& stats) {
   if (!stats.done || stats.failed || stats.quarantined || stats.from_cache)
     return;
-  const std::string tail = encode_job_stats(stats);
-  const std::string content =
-      strfmt("E %016llx %s ", static_cast<unsigned long long>(spec),
-             kEntryVersion) +
-      tail;
-  const std::string line = content + checksum_suffix(content) + "\n";
+  std::string tail = encode_job_stats(stats);
+  if (!log_.append(strfmt("E %016llx %s ",
+                          static_cast<unsigned long long>(spec),
+                          kEntryVersion) +
+                   tail))
+    return;
   std::lock_guard<std::mutex> lk(mu_);
-  usize off = 0;
-  while (off < line.size()) {
-    const ssize_t n = ::write(fd_, line.data() + off, line.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      log::error() << "result cache: write failed on " << path_;
-      return;
-    }
-    off += static_cast<usize>(n);
-  }
-  ::fsync(fd_);
-  entries_[spec] = tail;
+  entries_[spec] = std::move(tail);
 }
+
+bool ResultCache::flush() { return log_.sync(); }
 
 usize ResultCache::size() const {
   std::lock_guard<std::mutex> lk(mu_);

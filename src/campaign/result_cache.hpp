@@ -7,10 +7,15 @@
 // digest and the tool's user_data payload) is installed verbatim and
 // flagged from_cache so reports can surface cross-run dedup counts.
 //
-// File format (append-only, one fsync'd line per entry, torn-tolerant):
+// File format (append-only, one line per entry, torn-tolerant):
 //   R adriatic-result-cache v1
 //   E <spec_hash_hex> v1 <encode_job_stats() tail>
-// Every line carries the journal's ` cks=<fnv1a_hex>` suffix. On load,
+// Every line carries the journal's ` cks=<fnv1a_hex>` suffix and goes
+// through the journal's LineWriter. store() writes an entry without a sync;
+// entries become durable at flush() (one group-commit fsync for everything
+// stored since) or when the cache is destroyed. An entry lost to a crash
+// before its flush is a miss, which the cache contract allows — the
+// journal's fsync'd D record holds the durable copy. On load,
 // lines that fail the checksum (torn tail writes), carry an unknown entry
 // version (stale schema) or do not parse are dropped and counted — a
 // damaged cache degrades to cache misses, never to wrong results. The last
@@ -30,6 +35,7 @@
 #include <string>
 
 #include "campaign/campaign.hpp"
+#include "campaign/journal.hpp"
 #include "util/types.hpp"
 
 namespace adriatic::campaign {
@@ -41,7 +47,6 @@ class ResultCache {
   /// cache, so a damaged file is discarded, not trusted. Existing entries
   /// are loaded eagerly. Null only on hard I/O errors (unwritable path).
   static std::unique_ptr<ResultCache> open(const std::string& path);
-  ~ResultCache();
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -50,24 +55,30 @@ class ResultCache {
   /// set — the caller decides how to flag served copies). nullopt on miss.
   [[nodiscard]] std::optional<JobStats> lookup(u64 spec) const;
 
-  /// Persists a cleanly finished result (fsync'd append). Ignores stats
-  /// that are not done, failed, quarantined, or themselves served from the
-  /// cache — only genuine simulation outcomes are worth replaying.
+  /// Appends a cleanly finished result (written, not synced: see flush()).
+  /// Ignores stats that are not done, failed, quarantined, or themselves
+  /// served from the cache — only genuine simulation outcomes are worth
+  /// replaying.
   void store(u64 spec, const JobStats& stats);
+  /// Makes every entry stored so far durable (at most one fsync). False
+  /// when the fsync failed (logged).
+  bool flush();
 
   [[nodiscard]] usize size() const;
   /// Lines dropped on load: torn writes, checksum failures, stale entry
   /// versions.
   [[nodiscard]] usize dropped_lines() const noexcept { return dropped_; }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  [[nodiscard]] const std::string& path() const noexcept {
+    return log_.path();
+  }
 
  private:
-  ResultCache(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
+  ResultCache(int fd, std::string path)
+      : log_(fd, std::move(path), "result cache") {}
   void load(const std::string& text);
 
-  mutable std::mutex mu_;
-  int fd_ = -1;
-  std::string path_;
+  LineWriter log_;
+  mutable std::mutex mu_;  ///< Guards entries_; never held across I/O.
   std::map<u64, std::string> entries_;  ///< spec -> encode_job_stats() tail.
   usize dropped_ = 0;
 };

@@ -365,9 +365,6 @@ void CampaignServer::on_job_complete(const JobStats& stats) {
     } else {
       ++counters_.jobs_failed;
     }
-    // store() itself refuses unfinished/failed/quarantined records.
-    if (cache_ != nullptr) cache_->store(spec, stats);
-    if (pending_.empty()) cv_drain_.notify_all();
   }
   const Connection* first = nullptr;
   for (const auto& sub : subs) {
@@ -375,6 +372,21 @@ void CampaignServer::on_job_complete(const JobStats& stats) {
     if (first == nullptr) first = sub.conn.get();
   }
   broadcast_result(spec, stats, first);
+  // Cache I/O stays outside mu_, so no SUBMIT's dedup check waits on it.
+  // The runner made the job's D record durable before calling this hook;
+  // store() itself refuses unfinished/failed/quarantined records.
+  if (cache_ != nullptr) cache_->store(spec, stats);
+  bool drained = false;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    drained = pending_.empty();
+  }
+  if (drained) {
+    // Every completion re-checks after its own store, so the last store of
+    // a drain is always followed by a flush (one fsync for the batch).
+    if (cache_ != nullptr) cache_->flush();
+    cv_drain_.notify_all();
+  }
 }
 
 void CampaignServer::send_frame(const std::shared_ptr<Connection>& conn,
@@ -448,6 +460,7 @@ void CampaignServer::stop() {
   ::unlink(opt_.socket_path.c_str());
   runner_.reset();
   if (journal_ != nullptr) journal_->flush();
+  if (cache_ != nullptr) cache_->flush();
 }
 
 int CampaignServer::serve() {

@@ -130,8 +130,10 @@ class CampaignServer {
                       const Request& req);
   void handle_submit(const std::shared_ptr<Connection>& conn,
                      const Request& req);
-  /// Runner completion hook (worker thread): cache the record, stream
-  /// RESULT frames to the submitters and watchers, retire the pending slot.
+  /// Runner completion hook (worker thread, after the job's D record is
+  /// durable): retire the pending slot, stream RESULT frames to the
+  /// submitters and watchers, then cache the record outside mu_ and flush
+  /// the cache once the pending set drains.
   void on_job_complete(const campaign::JobStats& stats);
   /// Sends one frame under the connection's write lock; a failed write
   /// marks the connection closed (the reader notices on its next read).

@@ -1,14 +1,20 @@
 // Crash-safe campaign journal tests: append/read round trips, torn-line
-// recovery, last-record-wins semantics, and spec-hash identity.
+// recovery, last-record-wins semantics, spec-hash identity, and concurrent
+// appends through the group-commit writer.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/journal.hpp"
 #include "kernel/time.hpp"
+#include "util/log.hpp"
 
 namespace adriatic::campaign {
 namespace {
@@ -344,6 +350,78 @@ TEST(JournalTest, RunnerJournalsEveryJobLifecycle) {
   EXPECT_FALSE(state->completed.at(0).failed);
   EXPECT_TRUE(state->completed.at(1).failed);
   EXPECT_EQ(state->completed.at(1).error, "boom");
+}
+
+TEST(JournalTest, ConcurrentMixedAppendsReadBackWhole) {
+  // Worker threads append every record kind at once: synced D/X records
+  // group-commit while unsynced P/B/C records keep landing between them.
+  // Every line must come back intact, none interleaved mid-line.
+  constexpr usize kThreads = 8;
+  constexpr usize kPerThread = 25;
+  TempPath tmp("concurrent");
+  {
+    auto j = CampaignJournal::create(tmp.str(), "unit_sweep");
+    ASSERT_NE(j, nullptr);
+    std::vector<std::thread> threads;
+    for (usize t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&j, t] {
+        for (usize k = 0; k < kPerThread; ++k) {
+          const usize index = t * kPerThread + k;
+          const std::string label = "job " + std::to_string(index);
+          j->record_planned(index, spec_hash(label), label);
+          j->record_begun(index, 1);
+          j->record_worker_death(index, "signal:SIGKILL");
+          JobStats s = sample_stats(index);
+          s.label = label;
+          j->record_done(s);
+          j->record_cache_hit(spec_hash(label));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  const auto state = read_journal(tmp.str());
+  ASSERT_TRUE(state.has_value());
+  EXPECT_EQ(state->torn_lines, 0u);
+  constexpr usize kJobs = kThreads * kPerThread;
+  EXPECT_EQ(state->planned.size(), kJobs);
+  EXPECT_EQ(state->begun_records, kJobs);
+  EXPECT_EQ(state->worker_deaths.size(), kJobs);
+  EXPECT_EQ(state->cache_hits.size(), kJobs);
+  ASSERT_EQ(state->completed.size(), kJobs);
+  for (usize index = 0; index < kJobs; ++index) {
+    const std::string label = "job " + std::to_string(index);
+    ASSERT_EQ(state->planned.count(index), 1u) << index;
+    EXPECT_EQ(state->planned.at(index).label, label);
+    EXPECT_EQ(state->planned.at(index).spec, spec_hash(label));
+    ASSERT_EQ(state->completed.count(index), 1u) << index;
+    EXPECT_EQ(state->completed.at(index).label, label);
+    EXPECT_EQ(state->completed.at(index).digest, sample_stats(0).digest);
+  }
+}
+
+TEST(JournalTest, FailedFsyncIsReportedAndNeverCountsAsSynced) {
+  // fsync() on a pipe fails (EINVAL): every sync must say so and log it,
+  // and the failed range must stay unsynced, so the next sync retries.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::vector<std::string> errors;
+  log::set_sink([&errors](log::Level level, const std::string& msg) {
+    if (level == log::Level::kError) errors.push_back(msg);
+  });
+  {
+    LineWriter w(fds[1], "test-pipe", "test writer");
+    const u64 end = w.append("P 0 0000000000000000 a").value_or(0);
+    EXPECT_GT(end, 0u);
+    EXPECT_FALSE(w.sync(end));
+    EXPECT_FALSE(w.sync(end));
+    EXPECT_FALSE(w.sync());
+  }
+  log::set_sink(nullptr);
+  ::close(fds[0]);
+  ASSERT_GE(errors.size(), 3u);
+  EXPECT_NE(errors[0].find("fsync failed on test-pipe"), std::string::npos)
+      << errors[0];
 }
 
 }  // namespace

@@ -119,6 +119,32 @@ TEST(ResultCacheTest, ReopenedCacheServesPersistedEntriesLastWins) {
   EXPECT_EQ(b->digest, 2u);
 }
 
+TEST(ResultCacheTest, UnflushedStoresAreServedAfterReopen) {
+  // store() only writes; destroying the cache makes the entries durable,
+  // so a reopened cache serves them with no explicit flush().
+  TempPath tmp("unflushed");
+  constexpr u64 kEntries = 16;
+  {
+    auto cache = ResultCache::open(tmp.str());
+    ASSERT_NE(cache, nullptr);
+    for (u64 i = 0; i < kEntries; ++i) {
+      const std::string label = "point" + std::to_string(i);
+      cache->store(spec_hash(label), finished_stats(label, 100 + i));
+    }
+  }
+  auto cache = ResultCache::open(tmp.str());
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->size(), kEntries);
+  EXPECT_EQ(cache->dropped_lines(), 0u);
+  for (u64 i = 0; i < kEntries; ++i) {
+    const std::string label = "point" + std::to_string(i);
+    const auto hit = cache->lookup(spec_hash(label));
+    ASSERT_TRUE(hit.has_value()) << label;
+    EXPECT_EQ(hit->label, label);
+    EXPECT_EQ(hit->digest, 100 + i);
+  }
+}
+
 TEST(ResultCacheTest, CorruptEntryDegradesToAMiss) {
   TempPath tmp("corrupt");
   {

@@ -9,7 +9,9 @@
 //  * concurrent clients and a WATCH subscriber never see a torn frame;
 //  * SIGTERM mid-sweep: serve() returns 130, finished jobs are journaled
 //    done, interrupted ones quarantined, and a resumed server serves the
-//    finished prefix from its journal/cache without re-simulating.
+//    finished prefix from its journal/cache without re-simulating;
+//  * write-ahead: every RESULT a client receives already has its D record
+//    in the journal.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -318,6 +320,54 @@ TEST(ServiceTest, SigtermJournalsInterruptedAndResumeServesFinishedPrefix) {
   EXPECT_EQ(from_cache, journaled_digest.size());
   EXPECT_EQ(warm.totals.dedup_hits, journaled_digest.size());
   EXPECT_EQ(live.server.counters().jobs_done, seeds.size() - done_jobs);
+
+  live.server.stop();
+  ::unlink(journal_path.c_str());
+  ::unlink(cache_path.c_str());
+}
+
+TEST(ServiceTest, ResultFrameArrivesOnlyAfterItsDoneRecordIsJournaled) {
+  // Write-ahead oracle: the runner makes a job's D record durable before
+  // the completion hook streams its RESULT, so a client that reads the
+  // journal the moment a RESULT arrives always finds the record there.
+  const std::vector<u64> seeds = {31, 32, 33, 34, 35, 36};
+  const std::string journal_path = temp_path("svc_wal", ".journal");
+  const std::string cache_path = temp_path("svc_wal", ".cache");
+
+  service::ServerOptions opt;
+  opt.socket_path = temp_path("svc_wal", ".sock");
+  opt.threads = 2;
+  opt.processes = true;
+  opt.campaign_name = "svc-wal";
+  opt.journal_path = journal_path;
+  opt.cache_path = cache_path;
+  LiveServer live(opt);
+  ASSERT_TRUE(live.server.start());
+
+  auto client = service::ServiceClient::connect(opt.socket_path);
+  ASSERT_NE(client, nullptr);
+  const auto jobs = golden_jobs(seeds, 0);
+  for (const auto& job : jobs)
+    ASSERT_TRUE(client->submit(job.index + 1, job.spec, job.kind, job.label,
+                               job.params));
+
+  usize results = 0;
+  while (results < jobs.size()) {
+    const auto resp = client->next_response();
+    ASSERT_TRUE(resp.has_value()) << "connection ended early";
+    ASSERT_NE(resp->type, service::ResponseType::kError) << resp->detail;
+    if (resp->type != service::ResponseType::kResult) continue;
+    ++results;
+    const auto state = campaign::read_journal(journal_path);
+    ASSERT_TRUE(state.has_value());
+    EXPECT_EQ(state->torn_lines, 0u);
+    const auto done = state->completed.find(resp->index);
+    ASSERT_NE(done, state->completed.end())
+        << resp->stats.label << " streamed before its D record";
+    EXPECT_EQ(done->second.label, resp->stats.label);
+    EXPECT_EQ(done->second.digest, resp->stats.digest);
+  }
+  EXPECT_EQ(live.server.counters().jobs_done, seeds.size());
 
   live.server.stop();
   ::unlink(journal_path.c_str());
