@@ -593,8 +593,8 @@ void finish_dse(const DseOutcome& out) {
 
 }  // namespace
 
-std::vector<std::pair<std::string, JobBuilder>> builtin_kinds() {
-  std::vector<std::pair<std::string, JobBuilder>> kinds;
+KindRegistry builtin_kinds() {
+  KindRegistry kinds;
   kinds.emplace_back(
       "fault_point",
       [](const std::string& label, const ParamMap& params)
@@ -654,6 +654,21 @@ std::vector<std::pair<std::string, JobBuilder>> builtin_kinds() {
         }};
       });
   return kinds;
+}
+
+const JobBuilder* find_kind(const KindRegistry& kinds,
+                            const std::string& name) {
+  for (const auto& [kind, builder] : kinds)
+    if (kind == name) return &builder;
+  return nullptr;
+}
+
+campaign::JobOptions job_policy() {
+  campaign::JobOptions o;
+  o.max_attempts = 2;
+  o.wall_timeout_seconds = 60.0;
+  o.heartbeat_timeout_seconds = 10.0;
+  return o;
 }
 
 }  // namespace adriatic::service

@@ -2,10 +2,10 @@
 //
 // The server cannot receive closures over a socket, so every job a client
 // may SUBMIT is a named *kind* plus a ParamMap; this header holds the
-// concrete bodies behind those kinds. fault_sweep and dse_explorer call the
-// same run_* functions directly in local mode, which is what makes a
-// --server run's report byte-identical (modulo wall clock) to a local one:
-// both paths execute this file, not parallel re-implementations.
+// concrete bodies behind those kinds. fault_sweep and dse_explorer run the
+// same registry entries in local mode (service::run_sweep), which is what
+// makes a --server run's report byte-identical (modulo wall clock) to a
+// local one: both paths execute this file, not parallel re-implementations.
 //
 // Spec-hash helpers mirror the examples' historical folds exactly, so a
 // result cache or journal written by a local sweep is directly reusable by
@@ -126,8 +126,19 @@ using JobBuilder =
     std::function<std::optional<JobBody>(const std::string& label,
                                          const ParamMap& params)>;
 
+using KindRegistry = std::vector<std::pair<std::string, JobBuilder>>;
+
 /// The kinds campaignd serves out of the box:
 ///   fault_point, dse_point, dse_hardwired, dse_migration_probe, golden.
-[[nodiscard]] std::vector<std::pair<std::string, JobBuilder>> builtin_kinds();
+[[nodiscard]] KindRegistry builtin_kinds();
+
+/// The builder registered for `name`, or null.
+[[nodiscard]] const JobBuilder* find_kind(const KindRegistry& kinds,
+                                          const std::string& name);
+
+/// The robustness policy every job runs under, on campaignd and in local
+/// sweeps alike: 2 attempts, a 60 s wall-clock budget per attempt and, in
+/// process mode, a 10 s heartbeat timeout.
+[[nodiscard]] campaign::JobOptions job_policy();
 
 }  // namespace adriatic::service

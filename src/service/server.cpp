@@ -10,6 +10,7 @@
 #include <cstring>
 #include <utility>
 
+#include "service/sweep.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 
@@ -47,30 +48,20 @@ bool CampaignServer::start() {
   // completed records, so a restarted server keeps serving the finished
   // prefix without re-simulating even with no result cache attached.
   if (!opt_.journal_path.empty()) {
-    if (opt_.resume) {
-      const auto state = campaign::read_journal(opt_.journal_path);
-      if (!state.has_value()) {
-        log::error() << "campaignd: cannot read journal '" << opt_.journal_path
-                     << "'";
-        return false;
-      }
-      for (const auto& [idx, planned] : state->planned)
-        if (idx >= next_index_) next_index_ = idx + 1;
-      for (const auto& [idx, stats] : state->completed) {
-        const auto it = state->planned.find(idx);
-        if (it != state->planned.end())
-          finished_by_spec_[it->second.spec] = stats;
-      }
-      journal_ = campaign::CampaignJournal::append_to(opt_.journal_path);
-    } else {
-      journal_ = campaign::CampaignJournal::create(opt_.journal_path,
-                                                   opt_.campaign_name);
-    }
-    if (journal_ == nullptr) {
-      log::error() << "campaignd: cannot open journal '" << opt_.journal_path
-                   << "'";
+    auto opened =
+        open_journal(opt_.journal_path, opt_.campaign_name, opt_.resume);
+    if (opened.journal == nullptr) {
+      log::error() << "campaignd: " << opened.error;
       return false;
     }
+    const campaign::JournalState& state = opened.resumed;
+    for (const auto& [idx, planned] : state.planned)
+      if (idx >= next_index_) next_index_ = idx + 1;
+    for (const auto& [idx, stats] : state.completed) {
+      const auto it = state.planned.find(idx);
+      if (it != state.planned.end()) finished_by_spec_[it->second.spec] = stats;
+    }
+    journal_ = std::move(opened.journal);
   }
 
   if (!opt_.cache_path.empty()) {
@@ -255,13 +246,7 @@ void CampaignServer::handle_submit(const std::shared_ptr<Connection>& conn,
                "server is stopping; job not accepted");
     return;
   }
-  const JobBuilder* builder = nullptr;
-  for (const auto& [name, b] : kinds_) {
-    if (name == req.kind) {
-      builder = &b;
-      break;
-    }
-  }
+  const JobBuilder* builder = find_kind(kinds_, req.kind);
   if (builder == nullptr) {
     send_error(conn, req.id, ErrorCode::kUnknownKind,
                "no job builder registered for kind '" + req.kind + "'");
@@ -288,19 +273,18 @@ void CampaignServer::handle_submit(const std::shared_ptr<Connection>& conn,
     ++counters_.requests;
     // Dedup before any simulation: session-finished results first, then the
     // cross-run cache, then attach to an identical in-flight job.
+    std::optional<JobStats> hit;
     const auto fin = finished_by_spec_.find(req.spec);
     if (fin != finished_by_spec_.end()) {
-      served = fin->second;
+      hit = fin->second;
     } else if (cache_ != nullptr) {
-      served = cache_->lookup(req.spec);
+      hit = cache_->lookup(req.spec);
     }
-    if (served.has_value()) {
+    if (hit.has_value()) {
       index = next_index_++;
-      served->index = index;
-      served->label = req.label;
-      served->from_cache = true;
+      served = serve_hit(std::move(*hit), index, req.label, req.spec,
+                         journal_.get());
       ++counters_.dedup_hits;
-      if (journal_ != nullptr) journal_->record_cache_hit(req.spec);
     } else if (const auto inflight = pending_by_spec_.find(req.spec);
                inflight != pending_by_spec_.end()) {
       // Same spec already simulating: subscribe this client to that job's
@@ -330,12 +314,9 @@ void CampaignServer::handle_submit(const std::shared_ptr<Connection>& conn,
     return;
   }
   if (fresh) {
-    campaign::JobOptions o;
+    campaign::JobOptions o = job_policy();
     o.stats_index = index;
     o.spec = req.spec;
-    o.max_attempts = opt_.max_attempts;
-    o.wall_timeout_seconds = opt_.wall_timeout_seconds;
-    o.heartbeat_timeout_seconds = opt_.heartbeat_timeout_seconds;
     // The future is deliberately dropped: failures come back through the
     // committed JobStats (failed/quarantined) and stream out via the
     // completion hook like any other result.

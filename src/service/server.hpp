@@ -52,10 +52,6 @@ struct ServerOptions {
   std::string journal_path;  ///< Empty = no journal.
   bool resume = false;       ///< Append to an existing journal.
   std::string cache_path;    ///< Empty = no cross-run result cache.
-  /// Per-job robustness knobs, applied to every SUBMIT.
-  u32 max_attempts = 2;
-  double wall_timeout_seconds = 60.0;
-  double heartbeat_timeout_seconds = 10.0;
 };
 
 /// Monotonic server counters, surfaced by STATS frames and counters().
@@ -147,7 +143,7 @@ class CampaignServer {
                         const Connection* except);
 
   ServerOptions opt_;
-  std::vector<std::pair<std::string, JobBuilder>> kinds_;
+  KindRegistry kinds_;
 
   int listen_fd_ = -1;
   std::thread accept_thread_;
