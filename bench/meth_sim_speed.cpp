@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -200,6 +201,37 @@ void BM_JournalCommit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JournalCommit)->Threads(1)->Threads(4)->UseRealTime();
+
+// One process-mode job round trip, submit to committed record, with an
+// empty body so the time is the campaign layer's own: 32 closure jobs fork a
+// fresh child each, while 32 kind jobs queued as one backlog are served back
+// to back by one reused child over its socket. Wall time, since the cost is
+// fork, exit and reap in the kernel plus the round trip.
+void BM_ProcessJob(benchmark::State& state, bool reuse) {
+  constexpr int kJobs = 32;
+  const campaign::KindResolver kinds = [](const campaign::JobKind&,
+                                          const std::string&) {
+    return std::function<void(campaign::JobContext&)>(
+        [](campaign::JobContext&) {});
+  };
+  const campaign::JobKind empty{"empty", ""};
+  for (auto _ : state) {
+    campaign::CampaignRunner runner(1, campaign::ExecutionMode::kProcesses);
+    runner.set_kind_resolver(kinds);
+    for (int j = 0; j < kJobs; ++j) {
+      const std::string label = "job" + std::to_string(j);
+      if (reuse)
+        (void)runner.submit_kind(label, {}, empty, kinds(empty, label));
+      else
+        (void)runner.submit(label, [](campaign::JobContext&) {});
+    }
+    runner.wait_idle();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * kJobs);
+  state.SetLabel("layer=campaign-process");
+}
+BENCHMARK_CAPTURE(BM_ProcessJob, fresh_fork, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_ProcessJob, reused_child, true)->UseRealTime();
 
 void BM_SignalPropagation(benchmark::State& state) {
   kern::Simulation sim;

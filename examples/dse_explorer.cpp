@@ -26,8 +26,9 @@
 // request_stop() and --report still emits a valid partial report (exit 130);
 // the Pareto front is only printed when every point completed.
 //
-// --processes forks one child per design point (a crashing point is
-// quarantined with a structured reason instead of killing the sweep);
+// --processes runs the design points in forked children, one per worker
+// while it has queued points (a crashing point is quarantined with a
+// structured reason instead of killing the sweep);
 // --cache serves points whose spec hash already has a cached result without
 // re-simulating. The spec hash folds the timing mode and quantum, so
 // --loose/--quantum variants of a grid point never alias in the journal or

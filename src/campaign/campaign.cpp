@@ -87,7 +87,15 @@ std::string describe_current_exception() {
   }
 }
 
-void CampaignRunner::enqueue(std::string label, JobOptions opt,
+void CampaignRunner::set_kind_resolver(KindResolver resolver) {
+  if (pool_ != nullptr) pool_->set_resolver(std::move(resolver));
+}
+
+usize CampaignRunner::live_children() const {
+  return pool_ != nullptr ? pool_->live_children() : 0;
+}
+
+void CampaignRunner::enqueue(std::string label, JobOptions opt, JobKind kind,
                              std::function<void(JobContext&)> body) {
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -97,6 +105,7 @@ void CampaignRunner::enqueue(std::string label, JobOptions opt,
     job.index = records_.size();
     job.label = label;
     job.opt = opt;
+    job.kind = std::move(kind);
     job.body = std::move(body);
     JobStats placeholder;
     placeholder.index = opt.stats_index.value_or(job.index);
@@ -108,9 +117,16 @@ void CampaignRunner::enqueue(std::string label, JobOptions opt,
 }
 
 void CampaignRunner::worker_loop() {
+  // This worker's child in process mode: alive only while the worker holds
+  // a job, so it is retired whenever the queue runs dry (worker_pool.hpp).
+  WorkerChild child;
+  std::optional<Job> next;
   for (;;) {
     Job job;
-    {
+    if (next.has_value()) {
+      job = std::move(*next);
+      next.reset();
+    } else {
       std::unique_lock<std::mutex> lk(mu_);
       cv_work_.wait(lk, [this] { return shutdown_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutdown and drained
@@ -125,8 +141,13 @@ void CampaignRunner::worker_loop() {
     JobContext ctx(&local);
     ctx.runner_ = this;
     ctx.opt_ = job.opt;
+    ctx.kind_ = &job.kind;
+    ctx.child_ = &child;
     const auto t0 = std::chrono::steady_clock::now();
-    job.body(ctx);  // a packaged_task: exceptions land in the job's future
+    {
+      const mem::JobMemory::Scope memory(ctx.memory_);
+      job.body(ctx);  // a packaged_task: exceptions land in the future
+    }
     local.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -149,7 +170,16 @@ void CampaignRunner::worker_loop() {
     {
       std::lock_guard<std::mutex> lk(mu_);
       records_[job.index] = local;
+      // Process mode takes the next job before the hook, so the child
+      // stays busy; with nothing queued the child is retired before the
+      // hook instead.
+      if (pool_ != nullptr && !queue_.empty()) {
+        next = std::move(queue_.front());
+        queue_.pop_front();
+        ++inflight_;
+      }
     }
+    if (pool_ != nullptr && !next.has_value()) pool_->retire(child);
     // After the commit and outside the lock: the hook observes the same
     // record stats() now serves, and may block (socket writes) without
     // stalling other workers' commits. The job stays in flight until the
@@ -223,7 +253,7 @@ void CampaignRunner::watchdog_loop() {
         w.sim->request_stop();
       }
       // Forked workers can't observe the stop flag — kill them; their
-      // run_child calls return an "interrupted" verdict.
+      // run_job calls return an "interrupted" verdict.
       if (pool_ != nullptr) pool_->kill_all();
     }
     const auto now = std::chrono::steady_clock::now();
@@ -305,6 +335,7 @@ WatchdogGuard::~WatchdogGuard() {
 
 void JobContext::begin_attempt(u32 attempt) {
   timed_out_ = false;
+  memory_->reset_peak();
   stats_->attempts = attempt;
   if (runner_ != nullptr) {
     if (runner_->cancelled()) interrupted_ = true;
@@ -349,8 +380,9 @@ void JobContext::run_attempt_in_child(
   req.label = stats_->label;
   req.attempt = stats_->attempts;
   req.opt = opt_;
+  req.kind = *kind_;
   req.body = body;
-  const ChildResult r = runner_->pool_->run_child(req);
+  const ChildResult r = runner_->pool_->run_job(*child_, req);
 
   if (r.has_stats) {
     JobStats fresh = r.stats;
@@ -369,7 +401,7 @@ void JobContext::run_attempt_in_child(
     *stats_ = std::move(fresh);
     // A body that threw inside the child replays as an exception here, so
     // the retry loop treats thread-mode and process-mode failures alike.
-    // Budget exhaustion keeps its type across the pipe: the child ships a
+    // Budget exhaustion keeps its type across the socket: the child ships a
     // structured `budget-quarantined` verdict (not a crash), and the parent
     // re-raises it typed so the attempt loop's handler applies uniformly.
     if (stats_->quarantined && stats_->quarantine_reason == "budget-quarantined")

@@ -47,11 +47,14 @@ class ProcessWorkerPool;
 ///  * kThreads — in-process, one job per worker thread (the historical
 ///    mode). A job that segfaults, exhausts memory or spins without ever
 ///    reaching a delta boundary takes the whole campaign with it.
-///  * kProcesses — each attempt runs in a forked child; its JobStats come
-///    back over a pipe (worker_pool.hpp) and the parent's supervisor
-///    SIGKILLs hung or runaway children. Crashes become structured
-///    quarantine reasons ("signal:SIGSEGV", "timeout", "exit:N") instead of
-///    campaign deaths. Falls back to kThreads where fork is unusable
+///  * kProcesses — job bodies run in forked children; their JobStats come
+///    back over a socket (worker_pool.hpp) and the parent's supervisor
+///    SIGKILLs hung or runaway children. A worker keeps its child across a
+///    backlog of kind jobs (JobKind) and retires it once its queue is
+///    empty or the child failed; closure jobs get a fresh child per
+///    attempt. Crashes become structured quarantine reasons
+///    ("signal:SIGSEGV", "timeout", "exit:N") instead of campaign deaths.
+///    Falls back to kThreads where fork is unusable
 ///    (ThreadSanitizer builds, ADRIATIC_NO_FORK=1) — check mode() after
 ///    construction.
 enum class ExecutionMode { kThreads, kProcesses };
@@ -112,6 +115,21 @@ void install_stop_signal_handlers();
 [[nodiscard]] bool signal_stop_requested() noexcept;
 void clear_signal_stop() noexcept;
 
+/// Names a job by its registered kind instead of by a closure: a reused
+/// process-mode child receives this over its socket and rebuilds the body
+/// with the runner's KindResolver.
+struct JobKind {
+  std::string name;    ///< Registry name; empty for a closure job.
+  std::string params;  ///< Encoded parameters the registry builds from.
+};
+
+class JobContext;
+
+/// Builds the body of a kind job from its kind and label; an empty function
+/// when the kind is unknown or its params are invalid.
+using KindResolver = std::function<std::function<void(JobContext&)>(
+    const JobKind& kind, const std::string& label)>;
+
 /// Robustness knobs for one submitted job.
 struct JobOptions {
   /// Total attempts before the job gives up (1 = no retries). A failed
@@ -139,7 +157,7 @@ struct JobOptions {
   /// (capped at 30 s). Sleeps in small interruptible slices so a stop
   /// broadcast still cancels a backing-off job promptly. 0 disables it.
   double retry_backoff_seconds = 0;
-  /// Process mode: SIGKILL a child whose pipe has been silent (no result,
+  /// Process mode: SIGKILL a child whose socket has been silent (no result,
   /// no heartbeat frame) for this long — catches workers that die without
   /// exiting. Heartbeats tick ~10x per second while the child is alive,
   /// so legitimate long simulations never trip this. 0 disables it.
@@ -189,8 +207,8 @@ struct JobStats {
   u64 transfer_faults_recovered = 0;  ///< Mid-transfer faults recovered from.
   bool has_memory = false;  ///< record_memory() was called (or the job was
                             ///< budget-quarantined with a high-water mark).
-  u64 mem_resident_peak_bytes = 0;  ///< MemoryBudget high-water seen by the
-                                    ///< job (process-wide in thread mode).
+  u64 mem_resident_peak_bytes = 0;  ///< Peak of the job's own resident
+                                    ///< pages (mem::JobMemory), any mode.
   u64 mem_pages_resident = 0;  ///< Resident pages in the job's stores.
   u64 mem_cow_splits = 0;      ///< Shared pages copied on first write.
   u64 mem_shared_pages = 0;    ///< Pages still shared with an image at end.
@@ -200,7 +218,7 @@ struct JobStats {
   u64 worker_deaths = 0;    ///< Forked children lost while running this job
                             ///< (crash, timeout kill, heartbeat kill).
   std::string user_data;    ///< Opaque tool payload (record_user_data):
-                            ///< rides the journal, the worker pipe and the
+                            ///< rides the journal, the worker socket and the
                             ///< result cache, so a cache-served job can
                             ///< reproduce its tool-side output (e.g. a
                             ///< table row) without re-simulating.
@@ -210,7 +228,7 @@ struct JobStats {
 [[nodiscard]] std::string describe_current_exception();
 
 class CampaignRunner;
-class JobContext;
+struct WorkerChild;
 
 /// RAII registration of one Simulation with the runner's wall-clock
 /// watchdog; created via JobContext::guard(). On destruction the watch is
@@ -278,7 +296,7 @@ class JobContext {
   }
 
   /// Stores an opaque tool payload in the job's stats. It travels with the
-  /// JobStats through the journal, the process-worker pipe and the result
+  /// JobStats through the journal, the process-worker socket and the result
   /// cache, so tools can reconstruct per-job output (table rows, packed
   /// metrics) for jobs that ran in a child process or were served from
   /// cache without re-simulating.
@@ -288,13 +306,13 @@ class JobContext {
 
   /// Stores resident-set and ECC counters in the job's stats; report_json()
   /// emits them as the job's "memory" object. Scalars (not PagedStore/
-  /// EccModel references) so the campaign layer stays backing-agnostic;
-  /// pass MemoryBudget::instance().high_water_bytes() as the peak.
-  void record_memory(u64 resident_peak_bytes, u64 pages_resident,
-                     u64 cow_splits, u64 shared_pages, u64 ecc_corrected = 0,
-                     u64 ecc_uncorrectable = 0) {
+  /// EccModel references) so the campaign layer stays backing-agnostic.
+  /// The peak is this attempt's own: the high-water of the pages held by
+  /// the stores it built (see mem::JobMemory).
+  void record_memory(u64 pages_resident, u64 cow_splits, u64 shared_pages,
+                     u64 ecc_corrected = 0, u64 ecc_uncorrectable = 0) {
     stats_->has_memory = true;
-    stats_->mem_resident_peak_bytes = resident_peak_bytes;
+    stats_->mem_resident_peak_bytes = memory_->peak_bytes();
     stats_->mem_pages_resident = pages_resident;
     stats_->mem_cow_splits = cow_splits;
     stats_->mem_shared_pages = shared_pages;
@@ -303,13 +321,13 @@ class JobContext {
   }
 
   /// Converts a typed over-budget failure into the structured
-  /// `budget-quarantined` verdict: reason + high-water mark in the record,
+  /// `budget-quarantined` verdict: reason + the job's peak in the record,
   /// never a bad_alloc crash. Called by the submit() attempt loop and by
   /// the forked child's top-level handler; idempotent.
-  void mark_budget_quarantined(const mem::BudgetExceededError& over) {
+  void mark_budget_quarantined() {
     stats_->has_memory = true;
     stats_->mem_resident_peak_bytes =
-        std::max(stats_->mem_resident_peak_bytes, over.high_water_bytes());
+        std::max(stats_->mem_resident_peak_bytes, memory_->peak_bytes());
     stats_->failed = false;
     stats_->error.clear();
     mark_quarantined("budget-quarantined");
@@ -358,9 +376,10 @@ class JobContext {
     return process_mode() ? "timeout" : "wall-clock timeout";
   }
 
-  /// Runs one attempt in a forked child: the body executes against a
+  /// Runs one attempt in this worker's child (a fresh fork, or for a kind
+  /// job the child its last job left alive): the body executes against a
   /// child-local JobContext, the resulting JobStats stream back over the
-  /// worker pipe and replace this job's record. Throws WorkerDeathError if
+  /// worker socket and replace this job's record. Throws WorkerDeathError if
   /// the child dies without a result (crash / timeout / lost heartbeat),
   /// or std::runtime_error carrying the child's error if its body threw.
   void run_attempt_in_child(const std::function<void(JobContext&)>& body);
@@ -392,6 +411,10 @@ class JobContext {
   JobStats* stats_;
   CampaignRunner* runner_ = nullptr;
   JobOptions opt_;
+  /// Pages of the stores this job builds (charged while it is current).
+  std::shared_ptr<mem::JobMemory> memory_ = std::make_shared<mem::JobMemory>();
+  const JobKind* kind_ = nullptr;  ///< Set by the worker for every job.
+  WorkerChild* child_ = nullptr;   ///< The worker's child (process mode).
   bool timed_out_ = false;
   bool interrupted_ = false;
 };
@@ -399,8 +422,9 @@ class JobContext {
 class CampaignRunner {
  public:
   /// threads == 0 picks the hardware concurrency (at least 1). With
-  /// ExecutionMode::kProcesses each worker thread forks one child per job
-  /// attempt; where fork is unusable (ThreadSanitizer builds,
+  /// ExecutionMode::kProcesses each worker thread runs its jobs in a forked
+  /// child, kept across a backlog of kind jobs (see worker_pool.hpp);
+  /// where fork is unusable (ThreadSanitizer builds,
   /// ADRIATIC_NO_FORK=1) the runner logs a warning and degrades to
   /// kThreads — check mode() to see what it actually runs.
   explicit CampaignRunner(usize threads = 0,
@@ -424,7 +448,7 @@ class CampaignRunner {
   /// the pool or other jobs.
   template <typename F>
   auto submit(std::string label, F fn) {
-    return submit(std::move(label), JobOptions{}, std::move(fn));
+    return submit_job(std::move(label), JobOptions{}, std::move(fn), {});
   }
 
   /// submit() with robustness options: a failing attempt (exception or
@@ -433,8 +457,9 @@ class CampaignRunner {
   /// retries on timeouts — is quarantined: its record keeps done == false
   /// with a reason, and the future carries a std::runtime_error.
   ///
-  /// In kProcesses mode each attempt forks: the body runs in a child whose
-  /// JobStats come back over a pipe and replace this job's record. The
+  /// In kProcesses mode each attempt of a closure job forks: the body runs
+  /// in a child whose JobStats come back over a socket and replace this
+  /// job's record (submit_kind() jobs may reuse a worker's child). The
   /// future then resolves with a value-initialised R (process boundaries
   /// can't carry arbitrary return values) — process-mode campaigns read
   /// runner.stats() / JobStats::user_data instead of futures, and a
@@ -444,6 +469,85 @@ class CampaignRunner {
   /// spec, quarantine the job with the failure's reason().
   template <typename F>
   auto submit(std::string label, JobOptions opt, F fn) {
+    return submit_job(std::move(label), std::move(opt), std::move(fn), {});
+  }
+
+  /// submit() for a job of a registered kind. `body` is what the kind
+  /// resolver builds from (kind, label); in kProcesses mode a worker whose
+  /// child finished its last job cleanly hands this job to that child,
+  /// which rebuilds the body with its own copy of the resolver.
+  std::future<void> submit_kind(std::string label, JobOptions opt,
+                                JobKind kind,
+                                std::function<void(JobContext&)> body);
+
+  /// The kind registry: how reused children rebuild submit_kind() jobs.
+  /// Set before the first submit(); without one every job forks afresh.
+  void set_kind_resolver(KindResolver resolver);
+
+  /// Blocks until every submitted job has finished.
+  void wait_idle();
+
+  /// Attaches a write-ahead journal: every attempt logs a `B` record as it
+  /// begins and every finished job a `D` record with its full JobStats (see
+  /// campaign/journal.hpp). The journal must outlive all submitted jobs.
+  void set_journal(CampaignJournal* journal) noexcept { journal_ = journal; }
+
+  /// Registers a hook invoked on the worker thread right after a job's final
+  /// record is committed (visible to stats()). Unlike the job's future —
+  /// which resolves *before* the commit — the hook always sees the complete
+  /// JobStats, so streaming consumers (the campaign service) can forward
+  /// results as they land; wait_idle() returns only after every hook call
+  /// has returned. Set it before the first submit(); it runs outside the
+  /// runner's locks and must not call back into this runner. In process
+  /// mode the worker has already taken its next job, or retired its child,
+  /// when the hook runs.
+  void set_completion_hook(std::function<void(const JobStats&)> hook) {
+    completion_hook_ = std::move(hook);
+  }
+
+  /// Makes the watchdog thread poll the process-wide signal-stop flag (see
+  /// install_stop_signal_handlers); when it fires, pending jobs are
+  /// cancelled and every guarded Simulation gets request_stop().
+  void enable_signal_stop() noexcept {
+    signal_stop_enabled_.store(true, std::memory_order_relaxed);
+    wcv_.notify_all();
+  }
+  [[nodiscard]] bool signal_stop_enabled() const noexcept {
+    return signal_stop_enabled_.load(std::memory_order_relaxed);
+  }
+
+  /// Cancels jobs that have not started an attempt yet: they resolve their
+  /// futures with "job interrupted" and are quarantined, never run.
+  void cancel_pending() noexcept {
+    cancelled_.store(true, std::memory_order_relaxed);
+  }
+  [[nodiscard]] bool cancelled() const noexcept {
+    return cancelled_.load(std::memory_order_relaxed);
+  }
+
+  /// Broadcast stop: cancels pending jobs and request_stop()s every
+  /// currently guarded Simulation, marking those attempts interrupted (they
+  /// quarantine instead of committing partial results). Thread-safe; also
+  /// invoked by the watchdog when the signal-stop flag fires.
+  void request_stop_all();
+
+  /// Snapshot of per-job metrics in submission order. Call after wait_idle()
+  /// for a complete view — a job's future resolves before its worker commits
+  /// the record, so resolved futures alone do not guarantee completeness.
+  /// Records of jobs still queued or running carry done == false and
+  /// placeholder metrics (report_json() flags them and keeps them out of
+  /// the totals).
+  [[nodiscard]] std::vector<JobStats> stats() const;
+
+  /// Live worker children (process mode): 0 whenever the runner is idle.
+  [[nodiscard]] usize live_children() const;
+
+ private:
+  friend class JobContext;
+  friend class WatchdogGuard;
+
+  template <typename F>
+  auto submit_job(std::string label, JobOptions opt, F fn, JobKind kind) {
     constexpr bool kTakesCtx = std::is_invocable_v<F&, JobContext&>;
     using R = std::conditional_t<kTakesCtx,
                                  std::invoke_result<F&, JobContext&>,
@@ -518,7 +622,7 @@ class CampaignRunner {
                 }
                 if (!ctx.attempt_timed_out()) return result;
               }
-            } catch (const mem::BudgetExceededError& over) {
+            } catch (const mem::BudgetExceededError&) {
               if (ctx.interrupted()) {
                 if (!ctx.stats_->quarantined)
                   ctx.mark_quarantined("interrupted");
@@ -527,7 +631,7 @@ class CampaignRunner {
               // Over-budget is deterministic: retrying would allocate the
               // same pages again, so quarantine immediately — the rest of
               // the sweep keeps its budget headroom.
-              ctx.mark_budget_quarantined(over);
+              ctx.mark_budget_quarantined();
               throw std::runtime_error("job quarantined: " +
                                        ctx.stats_->quarantine_reason);
             } catch (const WorkerDeathError& death) {
@@ -575,72 +679,16 @@ class CampaignRunner {
           }
         });
     std::future<R> fut = task->get_future();
-    enqueue(std::move(label), opt,
+    enqueue(std::move(label), opt, std::move(kind),
             [task](JobContext& ctx) { (*task)(ctx); });
     return fut;
   }
-
-  /// Blocks until every submitted job has finished.
-  void wait_idle();
-
-  /// Attaches a write-ahead journal: every attempt logs a `B` record as it
-  /// begins and every finished job a `D` record with its full JobStats (see
-  /// campaign/journal.hpp). The journal must outlive all submitted jobs.
-  void set_journal(CampaignJournal* journal) noexcept { journal_ = journal; }
-
-  /// Registers a hook invoked on the worker thread right after a job's final
-  /// record is committed (visible to stats()). Unlike the job's future —
-  /// which resolves *before* the commit — the hook always sees the complete
-  /// JobStats, so streaming consumers (the campaign service) can forward
-  /// results as they land; wait_idle() returns only after every hook call
-  /// has returned. Set it before the first submit(); it runs outside the
-  /// runner's locks and must not call back into this runner.
-  void set_completion_hook(std::function<void(const JobStats&)> hook) {
-    completion_hook_ = std::move(hook);
-  }
-
-  /// Makes the watchdog thread poll the process-wide signal-stop flag (see
-  /// install_stop_signal_handlers); when it fires, pending jobs are
-  /// cancelled and every guarded Simulation gets request_stop().
-  void enable_signal_stop() noexcept {
-    signal_stop_enabled_.store(true, std::memory_order_relaxed);
-    wcv_.notify_all();
-  }
-  [[nodiscard]] bool signal_stop_enabled() const noexcept {
-    return signal_stop_enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Cancels jobs that have not started an attempt yet: they resolve their
-  /// futures with "job interrupted" and are quarantined, never run.
-  void cancel_pending() noexcept {
-    cancelled_.store(true, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool cancelled() const noexcept {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
-  /// Broadcast stop: cancels pending jobs and request_stop()s every
-  /// currently guarded Simulation, marking those attempts interrupted (they
-  /// quarantine instead of committing partial results). Thread-safe; also
-  /// invoked by the watchdog when the signal-stop flag fires.
-  void request_stop_all();
-
-  /// Snapshot of per-job metrics in submission order. Call after wait_idle()
-  /// for a complete view — a job's future resolves before its worker commits
-  /// the record, so resolved futures alone do not guarantee completeness.
-  /// Records of jobs still queued or running carry done == false and
-  /// placeholder metrics (report_json() flags them and keeps them out of
-  /// the totals).
-  [[nodiscard]] std::vector<JobStats> stats() const;
-
- private:
-  friend class JobContext;
-  friend class WatchdogGuard;
 
   struct Job {
     usize index = 0;
     std::string label;
     JobOptions opt;
+    JobKind kind;
     std::function<void(JobContext&)> body;
   };
 
@@ -658,7 +706,7 @@ class CampaignRunner {
     bool interrupted = false;
   };
 
-  void enqueue(std::string label, JobOptions opt,
+  void enqueue(std::string label, JobOptions opt, JobKind kind,
                std::function<void(JobContext&)> body);
   void worker_loop();
   void watchdog_loop();
@@ -706,6 +754,13 @@ class CampaignRunner {
   std::thread watchdog_;
 };
 
+inline std::future<void> CampaignRunner::submit_kind(
+    std::string label, JobOptions opt, JobKind kind,
+    std::function<void(JobContext&)> body) {
+  return submit_job(std::move(label), std::move(opt), std::move(body),
+                    std::move(kind));
+}
+
 /// Runs one job inline on the calling thread with the same bookkeeping a
 /// pool worker applies — wall-clock timing, JobContext counters, done/failed
 /// flags — and appends the record to `records`. Serial reference paths (e.g.
@@ -722,6 +777,7 @@ auto run_inline(std::string label, std::vector<JobStats>& records, F fn) {
   local.index = records.size();
   local.label = std::move(label);
   JobContext ctx(&local);
+  const mem::JobMemory::Scope memory(ctx.memory_);
   const auto t0 = std::chrono::steady_clock::now();
   const auto commit = [&] {
     local.wall_seconds =

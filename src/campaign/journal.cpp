@@ -343,7 +343,7 @@ std::optional<JournalState> read_journal(const std::string& path) {
       ++state.begun_records;
     } else if (tok[0] == "D" && tok.size() >= 2) {
       // The tail (everything after "D <index> ") round-trips through the
-      // shared codec, the same one the worker pipe and result cache use.
+      // shared codec, the same one the worker socket and result cache use.
       usize tail_at = content->find(' ');
       if (tail_at != std::string::npos)
         tail_at = content->find(' ', tail_at + 1);

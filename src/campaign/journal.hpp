@@ -44,9 +44,9 @@ namespace adriatic::campaign {
 [[nodiscard]] u64 spec_hash(const std::string& label, u64 param_digest = 0);
 
 // -- Wire helpers ------------------------------------------------------------
-// Shared by the journal, the process-worker pipe frames (worker_pool.cpp)
+// Shared by the journal, the process-worker socket frames (worker_pool.cpp)
 // and the result cache (result_cache.cpp), so every JobStats restore path —
-// journal resume, child-to-parent pipe, warm cache — deserialises the exact
+// journal resume, child-to-parent socket, warm cache — deserialises the exact
 // same byte layout.
 
 [[nodiscard]] u64 fnv1a(const std::string& s,

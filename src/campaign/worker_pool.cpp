@@ -1,10 +1,12 @@
 #include "campaign/worker_pool.hpp"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -19,10 +21,9 @@ namespace adriatic::campaign {
 namespace {
 
 // fork() is serialised process-wide, and the parent closes its copy of the
-// child's write fd before releasing the lock. Without this, a concurrently
-// forked sibling would inherit the write end and keep the pipe open after
-// the owning child died — the parent would never see EOF and a crashed
-// child would look like a hang until its sibling exited too.
+// child's socket end before releasing the lock, so a concurrently forked
+// sibling never inherits it even for the moment before the sibling closes
+// its inherited descriptors: a crashed child's EOF is never delayed.
 std::mutex g_fork_mu;
 
 // Child-side heartbeat state for the async-signal-safe SIGALRM handler:
@@ -32,7 +33,7 @@ char g_heartbeat_frame[kFrameHeaderSize];
 
 void heartbeat_handler(int) noexcept {
   if (g_heartbeat_fd < 0) return;
-  // Best-effort: a full pipe just drops a beat (the parent reads eagerly).
+  // Best-effort: a full socket buffer just drops a beat (the parent reads eagerly).
   [[maybe_unused]] const ssize_t n =
       ::write(g_heartbeat_fd, g_heartbeat_frame, sizeof g_heartbeat_frame);
 }
@@ -104,11 +105,12 @@ void put_u32_le(std::string& out, u32 v) {
   return v;
 }
 
-/// Full write with EINTR retry; false on hard error (parent gone).
+/// Full send with EINTR retry; false on hard error (peer gone). With
+/// MSG_NOSIGNAL a peer that died costs a failed send, not a SIGPIPE.
 bool write_all(int fd, const char* data, usize n) {
   usize off = 0;
   while (off < n) {
-    const ssize_t w = ::write(fd, data + off, n - off);
+    const ssize_t w = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -116,6 +118,85 @@ bool write_all(int fd, const char* data, usize n) {
     off += static_cast<usize>(w);
   }
   return true;
+}
+
+/// Reads from `fd` into `dec` until a frame of `type` arrives. Heartbeats
+/// go to `on_heartbeat`, other frames are dropped. nullopt on EOF, a read
+/// error or a corrupt stream.
+template <typename OnHeartbeat>
+std::optional<Frame> read_until(int fd, FrameDecoder& dec, char type,
+                                OnHeartbeat on_heartbeat) {
+  char chunk[4096];
+  for (;;) {
+    while (auto f = dec.next()) {
+      if (f->type == type) return f;
+      if (f->type == kFrameHeartbeat) on_heartbeat();
+    }
+    if (dec.error()) return std::nullopt;
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return std::nullopt;
+    dec.feed(chunk, static_cast<usize>(n));
+  }
+}
+
+/// Child side: closes every descriptor but stdio and `keep`.
+void close_inherited_fds(int keep) {
+  const auto close_from = [](unsigned lo, unsigned hi) {
+    if (lo > hi || ::close_range(lo, hi, 0) == 0) return;
+    // Kernels before 5.9 lack close_range: one by one, up to the fd limit.
+    const long top = std::min<long>(hi, ::sysconf(_SC_OPEN_MAX) - 1);
+    for (long fd = lo; fd <= top; ++fd) ::close(static_cast<int>(fd));
+  };
+  const auto k = static_cast<unsigned>(keep);
+  close_from(3, k - 1);
+  close_from(k + 1, ~0U);
+}
+
+/// Child side: SIGALRM heartbeats on for one job, or off (and blocked, so a
+/// heartbeat never lands inside the result frame).
+void set_heartbeats(bool on) {
+  itimerval tv = {};
+  if (on) tv.it_interval.tv_usec = tv.it_value.tv_usec = 100 * 1000;
+  sigset_t alarm;
+  sigemptyset(&alarm);
+  sigaddset(&alarm, SIGALRM);
+  if (on) ::sigprocmask(SIG_UNBLOCK, &alarm, nullptr);
+  ::setitimer(ITIMER_REAL, &tv, nullptr);
+  if (!on) ::sigprocmask(SIG_BLOCK, &alarm, nullptr);
+}
+
+/// The job frame payload: kind, label, params, index, attempt and the debug
+/// failure options (the parent enforces the other JobOptions itself).
+std::string encode_job_request(const ChildRequest& req) {
+  return strfmt("kind=%s params=%s label=%s index=%zu attempt=%u dfail=%d "
+                "dexit=%d",
+                encode_field(req.kind.name).c_str(),
+                encode_field(req.kind.params).c_str(),
+                encode_field(req.label).c_str(), req.index, req.attempt,
+                static_cast<int>(req.opt.debug_failure),
+                req.opt.debug_exit_code);
+}
+
+/// Inverse of encode_job_request(); body stays empty, nullopt on garbage.
+std::optional<ChildRequest> decode_job_request(const std::string& payload) {
+  ChildRequest req;
+  for (const std::string& t : split(payload, ' ')) {
+    const usize eq = t.find('=');
+    if (eq == std::string::npos) return std::nullopt;
+    const std::string key = t.substr(0, eq);
+    const std::string val = t.substr(eq + 1);
+    const auto num = [&val] { return std::strtoull(val.c_str(), nullptr, 10); };
+    if (key == "kind") req.kind.name = decode_field(val);
+    else if (key == "params") req.kind.params = decode_field(val);
+    else if (key == "label") req.label = decode_field(val);
+    else if (key == "index") req.index = static_cast<usize>(num());
+    else if (key == "attempt") req.attempt = static_cast<u32>(num());
+    else if (key == "dfail") req.opt.debug_failure = static_cast<DebugFailure>(num());
+    else if (key == "dexit") req.opt.debug_exit_code = static_cast<int>(num());
+  }
+  if (req.kind.name.empty()) return std::nullopt;
+  return req;
 }
 
 }  // namespace
@@ -211,25 +292,22 @@ usize ProcessWorkerPool::live_children() const {
   return children_.size();
 }
 
-u64 ProcessWorkerPool::register_child(int pid, const JobOptions& opt) {
+void ProcessWorkerPool::arm(u64 token, const JobOptions& opt) {
   const auto now = std::chrono::steady_clock::now();
-  ChildWatch w;
-  w.pid = pid;
-  w.has_deadline = opt.wall_timeout_seconds > 0;
-  if (w.has_deadline)
-    w.deadline =
-        now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(opt.wall_timeout_seconds));
-  w.heartbeat_timeout = opt.heartbeat_timeout_seconds;
-  w.last_heartbeat = now;
-  u64 token = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    token = next_token_++;
-    children_[token] = w;
+    ChildWatch& w = children_.at(token);
+    w.busy = true;
+    w.has_deadline = opt.wall_timeout_seconds > 0;
+    if (w.has_deadline)
+      w.deadline =
+          now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                    std::chrono::duration<double>(opt.wall_timeout_seconds));
+    w.heartbeat_timeout = opt.heartbeat_timeout_seconds;
+    w.last_heartbeat = now;
+    w.verdict = {};
   }
   cv_.notify_all();
-  return token;
 }
 
 void ProcessWorkerPool::note_heartbeat(u64 token) {
@@ -239,21 +317,17 @@ void ProcessWorkerPool::note_heartbeat(u64 token) {
     it->second.last_heartbeat = std::chrono::steady_clock::now();
 }
 
-WorkerFailure ProcessWorkerPool::unregister_child(u64 token) {
-  // Removing the entry *before* waitpid() guarantees the supervisor never
-  // signals a pid that has been reaped (and possibly recycled).
+WorkerFailure ProcessWorkerPool::disarm(u64 token) {
   std::lock_guard<std::mutex> lk(mu_);
-  const auto it = children_.find(token);
-  if (it == children_.end()) return {};
-  const WorkerFailure verdict = it->second.verdict;
-  children_.erase(it);
-  return verdict;
+  ChildWatch& w = children_.at(token);
+  w.busy = false;
+  return w.verdict;
 }
 
 void ProcessWorkerPool::kill_all() {
   std::lock_guard<std::mutex> lk(mu_);
   for (auto& [token, w] : children_) {
-    if (w.verdict.kind != WorkerFailure::Kind::kNone) continue;
+    if (!w.busy || w.verdict.kind != WorkerFailure::Kind::kNone) continue;
     w.verdict.kind = WorkerFailure::Kind::kInterrupted;
     ::kill(w.pid, SIGKILL);
   }
@@ -267,7 +341,7 @@ void ProcessWorkerPool::supervisor_loop() {
     if (shutdown_) return;
     const auto now = std::chrono::steady_clock::now();
     for (auto& [token, w] : children_) {
-      if (w.verdict.kind != WorkerFailure::Kind::kNone) continue;
+      if (!w.busy || w.verdict.kind != WorkerFailure::Kind::kNone) continue;
       if (w.has_deadline && now >= w.deadline) {
         w.verdict.kind = WorkerFailure::Kind::kTimeout;
         ::kill(w.pid, SIGKILL);
@@ -281,36 +355,8 @@ void ProcessWorkerPool::supervisor_loop() {
   }
 }
 
-void ProcessWorkerPool::child_main(const ChildRequest& req, int write_fd) {
-  // The parent's SIGINT/SIGTERM dispositions (install_stop_signal_handlers)
-  // must not leak into workers: a Ctrl-C would otherwise set the inherited
-  // stop flag in every child instead of letting the parent's broadcast
-  // SIGKILL them with a clean "interrupted" verdict.
-  struct sigaction dfl = {};
-  dfl.sa_handler = SIG_DFL;
-  sigemptyset(&dfl.sa_mask);
-  ::sigaction(SIGINT, &dfl, nullptr);
-  ::sigaction(SIGTERM, &dfl, nullptr);
-  install_crash_handler();
-
-  // Heartbeats: ~10/s via SIGALRM, written straight from the handler. The
-  // child stays single-threaded on purpose — a helper thread after a
-  // multithreaded fork is exactly what sanitizers (rightly) reject.
-  g_heartbeat_fd = write_fd;
-  {
-    const std::string hb = encode_frame(kFrameHeartbeat, "");
-    std::memcpy(g_heartbeat_frame, hb.data(), kFrameHeaderSize);
-  }
-  struct sigaction alarm_sa = {};
-  alarm_sa.sa_handler = heartbeat_handler;
-  sigemptyset(&alarm_sa.sa_mask);
-  alarm_sa.sa_flags = SA_RESTART;
-  ::sigaction(SIGALRM, &alarm_sa, nullptr);
-  itimerval tv = {};
-  tv.it_interval.tv_usec = 100 * 1000;
-  tv.it_value.tv_usec = 100 * 1000;
-  ::setitimer(ITIMER_REAL, &tv, nullptr);
-
+void ProcessWorkerPool::serve_job(const ChildRequest& req, int fd) {
+  set_heartbeats(true);
   // Deliberate failures for crash-containment tests, injected before the
   // body so containment (not the simulation) is what gets exercised.
   switch (req.opt.debug_failure) {
@@ -356,11 +402,15 @@ void ProcessWorkerPool::child_main(const ChildRequest& req, int write_fd) {
                            // the parent's supervisor is the watchdog.
   const auto t0 = std::chrono::steady_clock::now();
   try {
+    const mem::JobMemory::Scope memory(ctx.memory_);
+    if (!req.body)
+      throw std::runtime_error("no job builder registered for kind '" +
+                               req.kind.name + "'");
     req.body(ctx);
-  } catch (const mem::BudgetExceededError& over) {
-    // A structured verdict, not a crash: the child exits cleanly with a
-    // `budget-quarantined` result frame instead of dying to the OOM killer.
-    ctx.mark_budget_quarantined(over);
+  } catch (const mem::BudgetExceededError&) {
+    // A structured verdict, not a crash: the child reports a
+    // `budget-quarantined` result instead of dying to the OOM killer.
+    ctx.mark_budget_quarantined();
   } catch (...) {
     ctx.mark_failed(describe_current_exception());
   }
@@ -368,93 +418,148 @@ void ProcessWorkerPool::child_main(const ChildRequest& req, int write_fd) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  // Quiesce the heartbeat before the result frame so the two writes cannot
-  // interleave mid-frame.
-  itimerval off = {};
-  ::setitimer(ITIMER_REAL, &off, nullptr);
-  sigset_t block;
-  sigemptyset(&block);
-  sigaddset(&block, SIGALRM);
-  ::sigprocmask(SIG_BLOCK, &block, nullptr);
-
+  set_heartbeats(false);
   const std::string frame =
       encode_frame(kFrameResult, encode_job_stats(local));
-  write_all(write_fd, frame.data(), frame.size());
-  ::close(write_fd);
+  write_all(fd, frame.data(), frame.size());
+}
+
+void ProcessWorkerPool::child_main(const ChildRequest& first, int fd) {
+  close_inherited_fds(fd);
+  // The parent's SIGINT/SIGTERM dispositions (install_stop_signal_handlers)
+  // must not leak into workers: a Ctrl-C would otherwise set the inherited
+  // stop flag in every child instead of letting the parent's broadcast
+  // SIGKILL them with a clean "interrupted" verdict.
+  struct sigaction dfl = {};
+  dfl.sa_handler = SIG_DFL;
+  sigemptyset(&dfl.sa_mask);
+  ::sigaction(SIGINT, &dfl, nullptr);
+  ::sigaction(SIGTERM, &dfl, nullptr);
+  install_crash_handler();
+
+  // Heartbeats: ~10/s via SIGALRM while a job runs, written straight from
+  // the handler. The child stays single-threaded on purpose — a helper
+  // thread after a multithreaded fork is exactly what sanitizers (rightly)
+  // reject.
+  g_heartbeat_fd = fd;
+  {
+    const std::string hb = encode_frame(kFrameHeartbeat, "");
+    std::memcpy(g_heartbeat_frame, hb.data(), kFrameHeaderSize);
+  }
+  struct sigaction alarm_sa = {};
+  alarm_sa.sa_handler = heartbeat_handler;
+  sigemptyset(&alarm_sa.sa_mask);
+  alarm_sa.sa_flags = SA_RESTART;
+  ::sigaction(SIGALRM, &alarm_sa, nullptr);
+
+  serve_job(first, fd);
+  FrameDecoder decoder;
+  for (;;) {
+    // EOF is the parent retiring this child (or gone); garbage is fatal.
+    const auto frame = read_until(fd, decoder, kFrameJob, [] {});
+    auto req = frame ? decode_job_request(frame->payload) : std::nullopt;
+    if (!req) break;
+    req->body = resolver_(req->kind, req->label);
+    serve_job(*req, fd);
+  }
   // _exit, not exit: atexit handlers and static destructors belong to the
   // parent image and must run exactly once, in the parent.
   ::_exit(0);
 }
 
-ChildResult ProcessWorkerPool::run_child(const ChildRequest& req) {
-  int fds[2] = {-1, -1};
+bool ProcessWorkerPool::spawn(WorkerChild& child, const ChildRequest& req) {
+  int sv[2] = {-1, -1};
   int pid = -1;
   {
     std::lock_guard<std::mutex> fork_lk(g_fork_mu);
-    if (::pipe(fds) != 0) {
-      ChildResult r;
-      r.failure.kind = WorkerFailure::Kind::kProtocol;
-      return r;
-    }
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return false;
     pid = ::fork();
     if (pid == 0) {
-      ::close(fds[0]);
-      child_main(req, fds[1]);  // never returns
+      ::close(sv[0]);
+      child_main(req, sv[1]);  // never returns
     }
-    // Parent: drop the write end before any sibling can fork and inherit
-    // it, so child death == EOF on the read end.
-    ::close(fds[1]);
+    ::close(sv[1]);
     if (pid < 0) {
-      ::close(fds[0]);
-      ChildResult r;
-      r.failure.kind = WorkerFailure::Kind::kProtocol;
-      return r;
+      ::close(sv[0]);
+      return false;
     }
   }
+  child.pid = pid;
+  child.fd = sv[0];
+  child.jobs = 0;
+  child.decoder = FrameDecoder{};
+  std::lock_guard<std::mutex> lk(mu_);
+  child.token = next_token_++;
+  children_[child.token].pid = pid;
+  return true;
+}
 
-  const u64 token = register_child(pid, req.opt);
-  FrameDecoder decoder;
-  std::optional<std::string> result_payload;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::read(fds[0], chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;  // EOF: the child exited or was SIGKILLed.
-    decoder.feed(chunk, static_cast<usize>(n));
-    while (auto f = decoder.next()) {
-      if (f->type == kFrameHeartbeat) {
-        note_heartbeat(token);
-      } else if (f->type == kFrameResult) {
-        result_payload = std::move(f->payload);
-      }
-    }
-    if (decoder.error()) break;
+int ProcessWorkerPool::reap(WorkerChild& child) {
+  {
+    // Removing the entry *before* waitpid() guarantees the supervisor never
+    // signals a pid that has been reaped (and possibly recycled).
+    std::lock_guard<std::mutex> lk(mu_);
+    children_.erase(child.token);
   }
-  const WorkerFailure verdict = unregister_child(token);
-  ::close(fds[0]);
-
-  // Blocking reap — EOF means the child is gone or going; this cannot hang
-  // and it keeps the process table zombie-free.
+  ::close(child.fd);
+  // Blocking reap: the child has died, was killed, or saw EOF and exits.
   int status = 0;
-  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  while (::waitpid(child.pid, &status, 0) < 0 && errno == EINTR) {
   }
+  child = WorkerChild{};
+  return status;
+}
 
+void ProcessWorkerPool::retire(WorkerChild& child) {
+  if (!child.alive()) return;
+  // shutdown(), unlike close(), reaches the child even while a sibling
+  // forked a moment ago still holds a copy of this descriptor.
+  ::shutdown(child.fd, SHUT_WR);
+  (void)reap(child);
+}
+
+ChildResult ProcessWorkerPool::run_job(WorkerChild& child,
+                                       const ChildRequest& req) {
+  const bool kind_job = !req.kind.name.empty() && resolver_ != nullptr;
+  if (child.alive() && !kind_job) retire(child);
+  if (child.alive()) {
+    const std::string frame =
+        encode_frame(kFrameJob, encode_job_request(req));
+    // A child that died while idle costs this job nothing: fork afresh.
+    if (!write_all(child.fd, frame.data(), frame.size())) retire(child);
+  }
   ChildResult r;
-  if (result_payload.has_value()) {
-    // A complete, checksummed result outranks everything else: even if the
-    // supervisor's SIGKILL raced the child's _exit, the job itself finished.
-    r.has_stats = true;
-    r.stats = decode_job_stats(*result_payload);
+  if (!child.alive() && !spawn(child, req)) {
+    r.failure.kind = WorkerFailure::Kind::kProtocol;
     return r;
   }
+  ++child.jobs;
+  arm(child.token, req.opt);
+  const u64 token = child.token;
+  const auto result = read_until(child.fd, child.decoder, kFrameResult,
+                                 [&] { note_heartbeat(token); });
+  const WorkerFailure verdict = disarm(token);
+
+  if (result.has_value()) {
+    // A complete, checksummed result outranks everything else: even if the
+    // supervisor's SIGKILL raced the child's reply, the job itself finished.
+    r.has_stats = true;
+    r.stats = decode_job_stats(result->payload);
+    const bool clean = verdict.kind == WorkerFailure::Kind::kNone &&
+                       !r.stats.failed && !r.stats.quarantined;
+    if (!clean || !kind_job || child.jobs >= kJobsPerChild) retire(child);
+    return r;
+  }
+  // EOF: the child is gone or going. A corrupt stream is a protocol
+  // failure whatever the child does next, so it is killed before the reap.
+  const bool child_corrupt = child.decoder.error();
+  if (child_corrupt) ::kill(child.pid, SIGKILL);
+  const int status = reap(child);
   if (verdict.kind != WorkerFailure::Kind::kNone) {
     r.failure = verdict;
-    return r;
-  }
-  if (WIFSIGNALED(status)) {
+  } else if (child_corrupt) {
+    r.failure.kind = WorkerFailure::Kind::kProtocol;
+  } else if (WIFSIGNALED(status)) {
     r.failure.kind = WorkerFailure::Kind::kSignal;
     r.failure.code = WTERMSIG(status);
   } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {

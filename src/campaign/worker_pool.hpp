@@ -1,29 +1,52 @@
 // Fork-based process isolation for campaign jobs (ExecutionMode::kProcesses).
 //
-// Each job attempt runs in a forked child: the worker thread forks, the
-// child executes the job body against a child-local JobContext and streams
-// the resulting JobStats back over a pipe as a length-prefixed, checksummed
-// frame, then _exit()s without running parent destructors. While the child
-// runs, a SIGALRM-driven timer inside it writes heartbeat frames (~10/s) —
-// the child stays single-threaded, which keeps fork()-from-a-threaded-parent
-// on the well-trodden glibc path and works under sanitizers that veto
-// threads after fork.
+// Jobs run in forked children. The worker thread forks a child for a job,
+// the child runs the body against a child-local JobContext and streams the
+// resulting JobStats back as a length-prefixed, checksummed frame over a
+// socketpair. While a job runs, a SIGALRM-driven timer inside the child
+// writes heartbeat frames (~10/s) — the child stays single-threaded, which
+// keeps fork()-from-a-threaded-parent on the well-trodden glibc path and
+// works under sanitizers that veto threads after fork.
 //
-// A single supervisor thread in the parent scans every live child: a child
-// past its wall deadline is SIGKILLed with verdict kTimeout; one whose pipe
-// has been silent past the heartbeat timeout is SIGKILLed with verdict
-// kHeartbeatLost; a campaign-wide stop broadcast (kill_all) SIGKILLs all of
-// them with verdict kInterrupted. The worker thread that owns a child reads
-// its pipe to EOF, takes the supervisor's verdict, then reaps the child with
-// a blocking waitpid() — children are unregistered before the reap, so the
-// supervisor can never signal a recycled pid, and no zombies accumulate.
+// Child lifetime. A worker keeps its child only while it holds a job: when
+// a job of a registered kind (JobKind) ends cleanly and the worker's next
+// queued job is also a kind job, that job goes to the same child as a job
+// frame (kind, label, encoded params, index, attempt, debug options), and
+// the child rebuilds the body from its own copy of the kind registry (the
+// pool's KindResolver, fixed before the first fork). The first job of a
+// child arrives through fork() itself, since its body is already in the
+// child's memory. A child is retired — EOF on its socket, then reaped —
+// when its worker finds the queue empty, after any outcome other than a
+// clean result (thrown body, budget quarantine, signal, timeout, lost
+// heartbeat, protocol error), after kJobsPerChild jobs, and before a
+// closure job, which always runs in a fresh fork and never gets a second
+// frame. So live_children() is 0 whenever the pool is idle, a child's copy
+// of parent state is never older than one backlog, and RUSAGE_CHILDREN
+// charges each child's CPU to the backlog that used it.
 //
-// Wire format (pipe frames):
+// A child closes every inherited descriptor except stdio and its own
+// socket end: listen and client sockets, journal and cache files, and the
+// parent ends of sibling children's sockets would otherwise stay open for
+// as long as the child lives.
+//
+// A single supervisor thread in the parent scans every child that is
+// running a job: past the job's wall deadline it SIGKILLs the child with
+// verdict kTimeout; after heartbeat silence past the job's timeout, with
+// verdict kHeartbeatLost; on a campaign-wide stop broadcast (kill_all),
+// with verdict kInterrupted. Deadlines and heartbeats are armed per job, not
+// per child. The worker thread that owns a child reads its socket until the
+// job's result frame or EOF, takes the supervisor's verdict, and reaps a
+// dead or retired child with a blocking waitpid() — children are
+// unregistered before the reap, so the supervisor can never signal a
+// recycled pid, and no zombies accumulate.
+//
+// Wire format (frames, both directions):
 //   [0] magic 'A'   [1] type   [2..5] payload length (u32 LE)
 //   [6..9] FNV-1a checksum of the payload (u32 LE)   [10..] payload
-// Types: 'H' heartbeat (empty payload), 'R' result (payload is the
-// journal's encode_job_stats() tail, so pipe, journal and result cache all
-// share one JobStats serialisation).
+// Child to parent: 'H' heartbeat (empty payload), 'R' result (payload is
+// the journal's encode_job_stats() tail, so socket, journal and result cache
+// all share one JobStats serialisation). Parent to child: 'J' job
+// (encode_job_request()).
 #pragma once
 
 #include <condition_variable>
@@ -43,6 +66,7 @@ namespace adriatic::campaign {
 inline constexpr char kFrameMagic = 'A';
 inline constexpr char kFrameHeartbeat = 'H';
 inline constexpr char kFrameResult = 'R';
+inline constexpr char kFrameJob = 'J';
 inline constexpr usize kFrameHeaderSize = 10;
 /// Upper bound on one frame's payload; a length field beyond it means the
 /// stream is corrupt, not that a 4 GB allocation is pending.
@@ -72,23 +96,39 @@ class FrameDecoder {
 
 // -- Process worker pool -----------------------------------------------------
 
-/// Everything one forked attempt needs, captured before the fork.
+/// Jobs one child runs before it is replaced by a fresh fork, however long
+/// the backlog.
+inline constexpr u32 kJobsPerChild = 64;
+
+/// Everything one attempt needs. `body` runs in a freshly forked child; a
+/// reused child gets the rest as a job frame and rebuilds the body itself.
 struct ChildRequest {
   usize index = 0;
   std::string label;
   u32 attempt = 1;  ///< Parent's attempt counter, so the child's
                     ///< JobContext::attempt() matches thread mode.
   JobOptions opt;
+  JobKind kind;  ///< Empty name: a closure job (fresh fork only).
   std::function<void(JobContext&)> body;
 };
 
-/// What came back from one forked attempt: a decoded JobStats when the
-/// child delivered a checksummed result frame and nothing killed it first,
+/// What came back from one attempt: a decoded JobStats when the child
+/// delivered a checksummed result frame and nothing killed it first,
 /// otherwise the structured failure for the retry machinery.
 struct ChildResult {
   bool has_stats = false;
   JobStats stats;
   WorkerFailure failure;
+};
+
+/// One worker thread's child, kept between the jobs of a backlog.
+struct WorkerChild {
+  int pid = -1;
+  int fd = -1;    ///< Parent end of the child's socketpair.
+  u64 token = 0;  ///< Supervisor registration.
+  u32 jobs = 0;   ///< Jobs handed to this child so far.
+  FrameDecoder decoder;
+  [[nodiscard]] bool alive() const noexcept { return pid >= 0; }
 };
 
 class ProcessWorkerPool {
@@ -105,21 +145,34 @@ class ProcessWorkerPool {
   /// CampaignRunner consults this and falls back to kThreads.
   [[nodiscard]] static bool fork_available() noexcept;
 
-  /// Runs one attempt in a forked child, blocking the calling worker thread
-  /// until the child delivers a result or dies. Thread-safe: one concurrent
-  /// call per worker thread.
-  [[nodiscard]] ChildResult run_child(const ChildRequest& req);
+  /// How reused children rebuild kind jobs. Set before the first fork: each
+  /// child keeps the copy it was forked with.
+  void set_resolver(KindResolver resolver) { resolver_ = std::move(resolver); }
 
-  /// SIGKILLs every live child (campaign-wide stop broadcast); their
-  /// pending run_child() calls return WorkerFailure::Kind::kInterrupted.
+  /// Runs one attempt in `child`, blocking the calling worker thread until
+  /// the child delivers a result or dies. A live child gets the job as a
+  /// frame if it is a kind job; otherwise the live child is retired and a
+  /// fresh one forked. Afterwards `child` is still alive only if the job was
+  /// a kind job with a clean result and the child has jobs left. Thread-
+  /// safe: one concurrent call per worker thread (each with its own child).
+  [[nodiscard]] ChildResult run_job(WorkerChild& child,
+                                    const ChildRequest& req);
+
+  /// Ends `child` if it is alive: EOF on its socket, then a blocking reap.
+  void retire(WorkerChild& child);
+
+  /// SIGKILLs every child that is running a job (campaign-wide stop
+  /// broadcast); their pending run_job() calls return
+  /// WorkerFailure::Kind::kInterrupted.
   void kill_all();
 
-  /// Live (registered, unreaped) children — 0 once the pool is idle.
+  /// Live (forked, unreaped) children — 0 once the pool is idle.
   [[nodiscard]] usize live_children() const;
 
  private:
   struct ChildWatch {
     int pid = -1;
+    bool busy = false;  ///< Running a job: the checks below apply.
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline;
     double heartbeat_timeout = 0;  ///< Seconds; 0 disables the check.
@@ -127,14 +180,22 @@ class ProcessWorkerPool {
     WorkerFailure verdict;  ///< kind != kNone once the supervisor acted.
   };
 
-  /// Runs the job body in the forked child and never returns.
-  [[noreturn]] static void child_main(const ChildRequest& req, int write_fd);
+  /// Child side: runs one job and writes its result frame.
+  static void serve_job(const ChildRequest& req, int fd);
+  /// Serves jobs in the forked child, starting with `first`; never returns.
+  [[noreturn]] void child_main(const ChildRequest& first, int fd);
+  /// Forks a child for `req` into `child`; false if socketpair or fork failed.
+  bool spawn(WorkerChild& child, const ChildRequest& req);
+  /// Unregisters and reaps `child`, returning its wait status.
+  int reap(WorkerChild& child);
 
   void supervisor_loop();
-  u64 register_child(int pid, const JobOptions& opt);
+  void arm(u64 token, const JobOptions& opt);
   void note_heartbeat(u64 token);
-  WorkerFailure unregister_child(u64 token);
+  /// Ends the job's checks and returns the supervisor's verdict on it.
+  WorkerFailure disarm(u64 token);
 
+  KindResolver resolver_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<u64, ChildWatch> children_;

@@ -1,6 +1,7 @@
 #include "memory/budget.hpp"
 
 #include <cstdlib>
+#include <utility>
 
 #include "util/strings.hpp"
 
@@ -70,5 +71,35 @@ void MemoryBudget::reset_high_water() noexcept {
   high_water_.store(resident_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
 }
+
+namespace {
+thread_local std::shared_ptr<JobMemory> t_job_memory;
+}  // namespace
+
+void JobMemory::add(u64 bytes) noexcept {
+  const u64 now = resident_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  u64 peak = peak_.load(std::memory_order_relaxed);
+  while (now > peak &&
+         !peak_.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
+  }
+}
+
+void JobMemory::sub(u64 bytes) noexcept {
+  resident_.fetch_sub(bytes, std::memory_order_relaxed);
+}
+
+void JobMemory::reset_peak() noexcept {
+  peak_.store(resident_.load(std::memory_order_relaxed),
+              std::memory_order_relaxed);
+}
+
+const std::shared_ptr<JobMemory>& JobMemory::current() noexcept {
+  return t_job_memory;
+}
+
+JobMemory::Scope::Scope(std::shared_ptr<JobMemory> m)
+    : saved_(std::exchange(t_job_memory, std::move(m))) {}
+
+JobMemory::Scope::~Scope() { t_job_memory = std::move(saved_); }
 
 }  // namespace adriatic::mem

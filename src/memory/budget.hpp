@@ -3,9 +3,14 @@
 // BudgetExceededError instead of letting the host allocator OOM. The campaign
 // layer converts that typed error into a `budget-quarantined` job verdict so
 // one oversized job degrades gracefully instead of killing the whole sweep.
+//
+// JobMemory is the per-job view: the pages one campaign job's stores hold,
+// so a job's reported peak does not depend on which other jobs shared its
+// process or thread pool.
 #pragma once
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -72,6 +77,44 @@ class MemoryBudget {
   std::atomic<u64> limit_{0};
   std::atomic<u64> resident_{0};
   std::atomic<u64> high_water_{0};
+};
+
+/// One job's resident footprint: every page its PagedStores reference,
+/// counted per store when the store materializes or attaches it. Pages of
+/// an interned image count for every job whose stores attach them, whoever
+/// interned the image first, so the peak is the same whether the job ran
+/// alone, beside other jobs in a thread pool, or after other jobs in a
+/// reused worker child. The process-wide MemoryBudget still enforces the
+/// limit; this counter only measures.
+class JobMemory {
+ public:
+  void add(u64 bytes) noexcept;
+  void sub(u64 bytes) noexcept;
+  [[nodiscard]] u64 peak_bytes() const noexcept {
+    return peak_.load(std::memory_order_relaxed);
+  }
+  /// Starts a new peak from the current resident level (a new attempt).
+  void reset_peak() noexcept;
+
+  /// The counter PagedStores constructed on this thread charge; null
+  /// outside a job.
+  [[nodiscard]] static const std::shared_ptr<JobMemory>& current() noexcept;
+
+  /// Makes `m` the calling thread's current counter for its lifetime.
+  class Scope {
+   public:
+    explicit Scope(std::shared_ptr<JobMemory> m);
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    std::shared_ptr<JobMemory> saved_;
+  };
+
+ private:
+  std::atomic<u64> resident_{0};
+  std::atomic<u64> peak_{0};
 };
 
 }  // namespace adriatic::mem

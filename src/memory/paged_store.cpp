@@ -195,7 +195,8 @@ PagedStore::PagedStore(usize size_words, std::string name)
       pages_(ceil_div(size_words, kPageWords)),
       golden_(pages_.size()),
       verified_(pages_.size(), 0),
-      pinned_(pages_.size(), 0) {
+      pinned_(pages_.size(), 0),
+      job_(JobMemory::current()) {
   if (size_words == 0) throw std::invalid_argument(name_ + ": empty store");
   if (flat_) {
     // Flat semantics: every page resident up front, nothing ever shared —
@@ -204,7 +205,19 @@ PagedStore::PagedStore(usize size_words, std::string name)
   }
 }
 
-PagedStore::~PagedStore() = default;
+PagedStore::~PagedStore() {
+  if (job_) job_->sub(resident_bytes());
+}
+
+void PagedStore::add_resident() noexcept {
+  ++resident_;
+  if (job_) job_->add(kPageBytes);
+}
+
+void PagedStore::drop_resident() noexcept {
+  --resident_;
+  if (job_) job_->sub(kPageBytes);
+}
 
 usize PagedStore::page_index_checked(usize idx, const char* what) const {
   if (idx >= size_words_)
@@ -225,7 +238,7 @@ PageData& PagedStore::materialize(usize page, bool preserve_golden) {
   PageRef& slot = pages_[page];
   if (!slot) {
     slot = std::make_shared<PageData>();
-    ++resident_;
+    add_resident();
     ++stats_.pages_materialized;
     verified_[page] = 1;
   } else if (slot.use_count() > 1) {
@@ -307,8 +320,8 @@ void PagedStore::attach_image(const SharedImageRef& image, usize at) {
       }
     } else {
       const PageRef& src = image->page(i);
-      if (pages_[slot] && !src) --resident_;
-      if (!pages_[slot] && src) ++resident_;
+      if (pages_[slot] && !src) drop_resident();
+      if (!pages_[slot] && src) add_resident();
       pages_[slot] = src;
       if (src) ++stats_.pages_attached;
     }
@@ -378,8 +391,8 @@ bool PagedStore::restore_from_golden(usize page) {
   } else {
     // Re-adopt the golden page (or its zero elision): the corrupt private
     // copy is released, which also credits its budget charge back.
-    if (pages_[page] && !src) --resident_;
-    if (!pages_[page] && src) ++resident_;
+    if (pages_[page] && !src) drop_resident();
+    if (!pages_[page] && src) add_resident();
     pages_[page] = src;
   }
   verified_[page] = 1;

@@ -20,7 +20,9 @@
 //
 // Budget: every materialized page charges the process-wide MemoryBudget and
 // credits it on release, so resident-set accounting spans all stores and an
-// over-budget allocation fails with a typed BudgetExceededError.
+// over-budget allocation fails with a typed BudgetExceededError. A store
+// built inside a campaign job also counts its resident pages, attached image
+// pages included, against that job's JobMemory (the job's reported peak).
 //
 // PagedStore is host-side only (no simulated time); mem::Memory layers bus
 // latency, DMI, and the ECC model on top.
@@ -252,6 +254,9 @@ class PagedStore {
   /// golden link); fault and restore paths keep it.
   PageData& materialize(usize page, bool preserve_golden);
   void revoke_pins(usize page);
+  /// Counts one page in or out of resident_ and the owning job's footprint.
+  void add_resident() noexcept;
+  void drop_resident() noexcept;
 
   std::string name_;
   usize size_words_;
@@ -264,6 +269,7 @@ class PagedStore {
   bool any_pinned_ = false;
   std::function<void()> revoke_cb_;
   PagedStoreStats stats_;
+  std::shared_ptr<JobMemory> job_;  ///< Null outside a campaign job.
 
   static bool flat_backing_;
 };

@@ -212,9 +212,8 @@ FaultPointOutcome run_fault_point(const FaultPointSpec& spec,
     ctx->record_prefetch(fs.prefetch_hits, fs.cache_hits,
                          fs.config_words_fetched, fs.hidden_latency);
     // Memory footprint of this job's model: resident pages across its three
-    // stores, how many of those alias interned golden pages, and the
-    // process-wide high-water (per-child in process mode, shared across
-    // concurrent jobs in thread mode).
+    // stores and how many of those alias interned golden pages; the peak is
+    // the job's own (JobContext), the same in every execution mode.
     const mem::PagedStore* stores[] = {&cfg_mem.backing(), &ctx_mem0.backing(),
                                        &ctx_mem1.backing()};
     u64 pages = 0;
@@ -225,9 +224,8 @@ FaultPointOutcome run_fault_point(const FaultPointSpec& spec,
       shared += st->shared_pages();
       splits += st->stats().cow_splits;
     }
-    ctx->record_memory(mem::MemoryBudget::instance().high_water_bytes(),
-                       pages, splits, shared);
-    // The table row rides JobStats::user_data through the worker pipe, the
+    ctx->record_memory(pages, splits, shared);
+    // The table row rides JobStats::user_data through the worker socket, the
     // journal, the result cache and the service's RESULT frames, so jobs
     // that ran in another address space still print.
     ctx->record_user_data(join(out.row, "\t"));
@@ -654,6 +652,15 @@ KindRegistry builtin_kinds() {
         }};
       });
   return kinds;
+}
+
+campaign::KindResolver kind_resolver(KindRegistry kinds) {
+  return [kinds = std::move(kinds)](const campaign::JobKind& kind,
+                                    const std::string& label) {
+    const JobBuilder* builder = find_kind(kinds, kind.name);
+    if (builder == nullptr) return JobBody{};
+    return (*builder)(label, decode_params(kind.params)).value_or(JobBody{});
+  };
 }
 
 const JobBuilder* find_kind(const KindRegistry& kinds,

@@ -136,6 +136,10 @@ using KindRegistry = std::vector<std::pair<std::string, JobBuilder>>;
 [[nodiscard]] const JobBuilder* find_kind(const KindRegistry& kinds,
                                           const std::string& name);
 
+/// The CampaignRunner's resolver over `kinds`: how a reused process-mode
+/// child rebuilds a job from its kind, label and encoded params.
+[[nodiscard]] campaign::KindResolver kind_resolver(KindRegistry kinds);
+
 /// The robustness policy every job runs under, on campaignd and in local
 /// sweeps alike: 2 attempts, a 60 s wall-clock budget per attempt and, in
 /// process mode, a 10 s heartbeat timeout.

@@ -2,7 +2,7 @@
 //
 // The socket carries newline-framed text lines built from the campaign
 // journal's wire helpers, so there is exactly one way any adriatic component
-// serialises a JobStats or a string field — journal D records, worker pipe
+// serialises a JobStats or a string field — journal D records, worker socket
 // 'R' frames, result-cache E lines and service frames all share the codec in
 // campaign/journal.hpp.
 //

@@ -84,6 +84,8 @@ bool CampaignServer::start() {
       [this](const JobStats& stats) { on_job_complete(stats); });
   runner_->enable_signal_stop();
   if (journal_ != nullptr) runner_->set_journal(journal_.get());
+  // kinds_ is final from here on (register_kind() precedes start()).
+  runner_->set_kind_resolver(kind_resolver(kinds_));
 
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -320,10 +322,8 @@ void CampaignServer::handle_submit(const std::shared_ptr<Connection>& conn,
     // The future is deliberately dropped: failures come back through the
     // committed JobStats (failed/quarantined) and stream out via the
     // completion hook like any other result.
-    (void)runner_->submit(req.label, o,
-                          [body = std::move(*body)](campaign::JobContext& ctx) {
-                            body(ctx);
-                          });
+    (void)runner_->submit_kind(req.label, o, {req.kind, req.params},
+                               std::move(*body));
     send_frame(conn, encode_ok(req.id, static_cast<u64>(index), false));
   }
 }

@@ -44,8 +44,9 @@ struct ServerOptions {
   std::string socket_path;
   /// Worker threads; 0 = campaign::default_thread_count().
   usize threads = 0;
-  /// Fork one child per job attempt (crash containment); degrades to
-  /// threads where fork is unusable, like the sweep tools.
+  /// Run jobs in forked children (crash containment), one per worker
+  /// while it has queued jobs; degrades to threads where fork is unusable,
+  /// like the sweep tools.
   bool processes = false;
   /// Campaign name written into the journal header and STATS replies.
   std::string campaign_name = "campaignd";

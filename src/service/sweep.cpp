@@ -232,6 +232,11 @@ class Session {
     campaign::install_stop_signal_handlers();
     runner.enable_signal_stop();
     if (journal != nullptr) runner.set_journal(journal.get());
+    // Reused children rebuild jobs from the same kinds as body() does.
+    KindRegistry kinds = opt_.kinds;
+    for (const LocalKind& lk : opt_.local_kinds)
+      kinds.emplace_back(lk.name, lk.build);
+    runner.set_kind_resolver(kind_resolver(std::move(kinds)));
     for (usize i = 0; i < n; ++i) {
       if (!rerun[i]) continue;
       campaign::JobOptions o =
@@ -239,7 +244,9 @@ class Session {
       o.stats_index = i;  // resumed jobs keep their original indices
       o.spec = jobs_[i].spec;
       // Outcomes come back through runner.stats(), in every mode.
-      (void)runner.submit(jobs_[i].label, o, std::move(*bodies[i]));
+      (void)runner.submit_kind(
+          jobs_[i].label, o, {jobs_[i].kind, encode_params(jobs_[i].params)},
+          std::move(*bodies[i]));
     }
     runner.wait_idle();
     if (journal != nullptr) journal->flush();

@@ -45,7 +45,7 @@ struct SweepOptions {
   std::string campaign;
   bool serial = false;     ///< Run on the calling thread via run_inline.
   usize threads = 0;       ///< 0 = campaign::default_thread_count().
-  bool processes = false;  ///< Fork one child per job attempt.
+  bool processes = false;  ///< Run jobs in forked worker children.
   std::string journal_path;
   std::string resume_path;
   bool verify_resume = false;  ///< Re-run restored jobs, compare digests.

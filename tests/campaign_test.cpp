@@ -4,8 +4,14 @@
 // must reach its future without harming the pool.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -13,6 +19,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,6 +33,7 @@
 #include "kernel/kernel.hpp"
 #include "memory/memory.hpp"
 #include "util/random.hpp"
+#include "util/strings.hpp"
 
 namespace adriatic::campaign {
 namespace {
@@ -670,8 +678,7 @@ TEST(CampaignTest, OverBudgetJobIsQuarantinedNotFailed) {
     m.poke(0, 1);  // one resident page: comfortably inside the budget
     sim.run();
     ctx.record(sim);
-    ctx.record_memory(mem::MemoryBudget::instance().high_water_bytes(),
-                      m.backing().resident_pages(), 0, 0);
+    ctx.record_memory(m.backing().resident_pages(), 0, 0);
     return 1;
   });
   auto over = runner.submit("over", [](JobContext&) {
@@ -701,6 +708,44 @@ TEST(CampaignTest, OverBudgetJobIsQuarantinedNotFailed) {
   EXPECT_EQ(stats[1].attempts, 1u);
   EXPECT_TRUE(stats[1].has_memory);
   EXPECT_GT(stats[1].mem_resident_peak_bytes, 0u);
+}
+
+TEST(CampaignTest, OverlappingThreadJobsReportTheirSerialPeak) {
+  // Each job attaches the same two-page interned image (whichever job
+  // interns it first) and materializes its own private pages. Run together
+  // on two threads and held at their peak at the same moment, each job
+  // still reports exactly the peak it has when run alone.
+  const std::vector<bus::word> bits(2 * mem::kPageWords, 0xC0DEu);
+  const auto job = [&bits](usize private_pages, std::latch* overlap) {
+    return [&bits, private_pages, overlap](JobContext& ctx) {
+      kern::Simulation sim;
+      kern::Module top(sim, "top");
+      mem::Memory m(top, "m", 0, 16 * mem::kPageWords);
+      m.attach_image(mem::ImageRegistry::instance().intern(bits), 0);
+      for (usize p = 0; p < private_pages; ++p)
+        m.poke(static_cast<bus::addr_t>((8 + p) * mem::kPageWords), 1);
+      if (overlap != nullptr) overlap->arrive_and_wait();
+      ctx.record_memory(m.backing().resident_pages(), 0, 0);
+    };
+  };
+  constexpr usize kPrivate[] = {1, 3};
+  std::vector<JobStats> serial;
+  for (const usize n : kPrivate)
+    run_inline("serial" + std::to_string(n), serial, job(n, nullptr));
+  std::latch overlap(2);
+  CampaignRunner runner(2);
+  for (const usize n : kPrivate)
+    (void)runner.submit("overlap" + std::to_string(n), job(n, &overlap));
+  runner.wait_idle();
+  const auto overlapped = runner.stats();
+  ASSERT_EQ(overlapped.size(), 2u);
+  for (usize i = 0; i < 2; ++i) {
+    EXPECT_EQ(serial[i].mem_resident_peak_bytes,
+              (2 + kPrivate[i]) * mem::kPageBytes);
+    EXPECT_TRUE(overlapped[i].done);
+    EXPECT_EQ(overlapped[i].mem_resident_peak_bytes,
+              serial[i].mem_resident_peak_bytes);
+  }
 }
 
 // -- Process isolation (ExecutionMode::kProcesses) ---------------------------
@@ -1025,6 +1070,234 @@ TEST(CampaignTest, WorkerDeathsLandInJournalAndReport) {
   EXPECT_EQ(state->worker_deaths[0].index, 0u);
   EXPECT_EQ(state->worker_deaths[0].reason, "signal:SIGSEGV");
   std::remove(path.c_str());
+}
+
+// -- Child reuse across a backlog of kind jobs -------------------------------
+
+/// Which child ran each job slot, written by the children themselves into
+/// memory shared with the test (mapped before any fork).
+class PidLog {
+ public:
+  static constexpr usize kSlots = 256;
+  PidLog() {
+    void* p = ::mmap(nullptr, sizeof(int) * kSlots, PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::runtime_error("mmap failed");
+    pids_ = static_cast<int*>(p);
+  }
+  ~PidLog() { ::munmap(pids_, sizeof(int) * kSlots); }
+  PidLog(const PidLog&) = delete;
+  PidLog& operator=(const PidLog&) = delete;
+  void note(usize slot) { pids_[slot] = static_cast<int>(::getpid()); }
+  [[nodiscard]] int operator[](usize slot) const { return pids_[slot]; }
+
+ private:
+  int* pids_ = nullptr;
+};
+
+/// The descriptors open in this process, "0,1,2,...", without the one the
+/// listing itself uses.
+std::string open_fds() {
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return "unreadable";
+  std::vector<int> fds;
+  while (const dirent* e = ::readdir(dir)) {
+    if (e->d_name[0] == '.') continue;
+    const int fd = std::atoi(e->d_name);
+    if (fd != ::dirfd(dir)) fds.push_back(fd);
+  }
+  ::closedir(dir);
+  std::sort(fds.begin(), fds.end());
+  std::string out;
+  for (const int fd : fds) out += (out.empty() ? "" : ",") + std::to_string(fd);
+  return out;
+}
+
+/// A two-kind registry: "pid" notes the running child in slot <params>,
+/// "fds" also lists the child's open descriptors in user_data.
+KindResolver test_kinds(PidLog& log) {
+  return [&log](const JobKind& kind,
+                const std::string&) -> std::function<void(JobContext&)> {
+    const usize slot = std::stoul(kind.params);
+    if (kind.name == "pid")
+      return [&log, slot](JobContext&) { log.note(slot); };
+    if (kind.name == "fds")
+      return [&log, slot](JobContext& ctx) {
+        log.note(slot);
+        ctx.record_user_data(open_fds());
+      };
+    return {};
+  };
+}
+
+/// Submits a kind job the way the sweep session does: the body the
+/// resolver builds, plus the kind for a reused child to rebuild it.
+std::future<void> submit_test_kind(CampaignRunner& runner,
+                                   const KindResolver& kinds, usize slot,
+                                   JobOptions opt = {},
+                                   const std::string& name = "pid") {
+  const JobKind kind{name, std::to_string(slot)};
+  const std::string label = name + std::to_string(slot);
+  return runner.submit_kind(label, opt, kind, kinds(kind, label));
+}
+
+TEST(ChildReuseTest, KindJobsOfABacklogShareOneChild) {
+  ADRIATIC_SKIP_WITHOUT_FORK();
+  PidLog log;
+  const KindResolver kinds = test_kinds(log);
+  CampaignRunner runner(1, ExecutionMode::kProcesses);
+  runner.set_kind_resolver(kinds);
+  for (usize i = 0; i < 6; ++i) (void)submit_test_kind(runner, kinds, i);
+  runner.wait_idle();
+  for (const JobStats& s : runner.stats()) EXPECT_TRUE(s.done) << s.label;
+  for (usize i = 1; i < 6; ++i) EXPECT_EQ(log[i], log[0]) << i;
+  EXPECT_NE(log[0], ::getpid());
+  EXPECT_EQ(runner.live_children(), 0u);
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);  // reaped, no zombie
+  EXPECT_EQ(errno, ECHILD);
+}
+
+TEST(ChildReuseTest, ClosureJobsForkOncePerAttempt) {
+  ADRIATIC_SKIP_WITHOUT_FORK();
+  PidLog log;
+  const KindResolver kinds = test_kinds(log);
+  CampaignRunner runner(1, ExecutionMode::kProcesses);
+  runner.set_kind_resolver(kinds);
+  JobOptions opt;
+  opt.max_attempts = 3;
+  // Attempts 1 and 2 throw; each attempt notes its child in slot attempt.
+  (void)runner.submit("flaky", opt, [&log](JobContext& ctx) {
+    log.note(ctx.attempt());
+    if (ctx.attempt() < 3) throw std::runtime_error("transient");
+  });
+  // A kind job after a closure job, then closure jobs after a kind job.
+  (void)submit_test_kind(runner, kinds, 4);
+  (void)runner.submit("closure5", [&log](JobContext&) { log.note(5); });
+  (void)runner.submit("closure6", [&log](JobContext&) { log.note(6); });
+  runner.wait_idle();
+  const auto stats = runner.stats();
+  ASSERT_EQ(stats.size(), 4u);
+  for (const JobStats& s : stats) EXPECT_TRUE(s.done) << s.label;
+  EXPECT_EQ(stats[0].attempts, 3u);
+  const std::vector<int> pids = {log[1], log[2], log[3], log[4], log[5],
+                                 log[6]};
+  for (usize i = 0; i < pids.size(); ++i)
+    for (usize j = i + 1; j < pids.size(); ++j)
+      EXPECT_NE(pids[i], pids[j]) << "slots " << i + 1 << ", " << j + 1;
+}
+
+TEST(ChildReuseTest, ChildIsReplacedAfterItsJobLimit) {
+  ADRIATIC_SKIP_WITHOUT_FORK();
+  PidLog log;
+  const KindResolver kinds = test_kinds(log);
+  CampaignRunner runner(1, ExecutionMode::kProcesses);
+  runner.set_kind_resolver(kinds);
+  static_assert(kJobsPerChild + 2 <= PidLog::kSlots);
+  for (usize i = 0; i < kJobsPerChild + 2; ++i)
+    (void)submit_test_kind(runner, kinds, i);
+  runner.wait_idle();
+  for (usize i = 1; i < kJobsPerChild; ++i) ASSERT_EQ(log[i], log[0]) << i;
+  EXPECT_NE(log[kJobsPerChild], log[0]);
+  EXPECT_EQ(log[kJobsPerChild + 1], log[kJobsPerChild]);
+  EXPECT_EQ(runner.live_children(), 0u);
+}
+
+TEST(ChildReuseTest, DrainingJobsHookSeesNoLiveChildren) {
+  ADRIATIC_SKIP_WITHOUT_FORK();
+  PidLog log;
+  const KindResolver kinds = test_kinds(log);
+  constexpr usize kJobs = 12;
+  CampaignRunner runner(3, ExecutionMode::kProcesses);
+  runner.set_kind_resolver(kinds);
+  std::atomic<usize> completed{0};
+  std::atomic<usize> live_at_drain{~usize{0}};
+  runner.set_completion_hook([&](const JobStats&) {
+    if (completed.fetch_add(1) + 1 == kJobs)
+      live_at_drain.store(runner.live_children());
+  });
+  for (usize i = 0; i < kJobs; ++i) (void)submit_test_kind(runner, kinds, i);
+  runner.wait_idle();
+  EXPECT_EQ(completed.load(), kJobs);
+  EXPECT_EQ(live_at_drain.load(), 0u);
+}
+
+TEST(ChildReuseTest, ChildFailuresKeepVerdictsThroughTheKindPath) {
+  ADRIATIC_SKIP_WITHOUT_FORK();
+  // Every failing job follows a clean one on the same worker, so it is
+  // handed to a live child as a job frame; the job after it succeeds in a
+  // fresh child.
+  PidLog log;
+  const KindResolver kinds = test_kinds(log);
+  CampaignRunner runner(1, ExecutionMode::kProcesses);
+  runner.set_kind_resolver(kinds);
+  JobOptions segv;
+  segv.debug_failure = DebugFailure::kSegv;
+  JobOptions hang;
+  hang.debug_failure = DebugFailure::kHangCpu;
+  hang.wall_timeout_seconds = 0.3;
+  JobOptions silent;
+  silent.debug_failure = DebugFailure::kHangSleep;
+  silent.heartbeat_timeout_seconds = 0.3;
+  JobOptions exits;
+  exits.debug_failure = DebugFailure::kExitCode;
+  exits.debug_exit_code = 42;
+  const JobOptions failing[] = {segv, hang, silent, exits};
+  usize slot = 0;
+  (void)submit_test_kind(runner, kinds, slot++);
+  for (const JobOptions& opt : failing) {
+    (void)submit_test_kind(runner, kinds, slot++, opt);
+    (void)submit_test_kind(runner, kinds, slot++);
+  }
+  runner.wait_idle();
+  const auto stats = runner.stats();
+  ASSERT_EQ(stats.size(), slot);
+  const char* verdicts[] = {"signal:SIGSEGV", "timeout", "heartbeat-lost",
+                            "exit:42"};
+  for (usize f = 0; f < 4; ++f) {
+    const JobStats& bad = stats[1 + 2 * f];
+    const JobStats& next = stats[2 + 2 * f];
+    EXPECT_TRUE(bad.quarantined) << bad.label;
+    EXPECT_EQ(bad.quarantine_reason, verdicts[f]);
+    EXPECT_EQ(bad.worker_deaths, 1u) << bad.label;
+    EXPECT_TRUE(next.done) << next.label;
+    EXPECT_EQ(next.worker_deaths, 0u);
+    EXPECT_NE(log[2 + 2 * f], log[2 * f]) << "fresh child after " << bad.label;
+  }
+  EXPECT_EQ(runner.live_children(), 0u);
+}
+
+TEST(ChildReuseTest, ChildClosesInheritedDescriptors) {
+  ADRIATIC_SKIP_WITHOUT_FORK();
+  // Descriptors the parent holds — files, pipes, and the socket of a
+  // sibling worker's child — never reach a child, on its first job or on a
+  // reused one: it keeps stdio and its own socket end only.
+  const int file = ::open("/dev/null", O_RDONLY);
+  int pipe_fds[2] = {-1, -1};
+  ASSERT_GE(file, 0);
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  PidLog log;
+  const KindResolver kinds = test_kinds(log);
+  CampaignRunner runner(2, ExecutionMode::kProcesses);
+  runner.set_kind_resolver(kinds);
+  for (usize i = 0; i < 6; ++i)
+    (void)submit_test_kind(runner, kinds, i, JobOptions{}, "fds");
+  runner.wait_idle();
+  const auto stats = runner.stats();
+  bool reused = false;
+  for (usize i = 0; i < stats.size(); ++i) {
+    ASSERT_TRUE(stats[i].done) << stats[i].label;
+    const auto fds = split(stats[i].user_data, ',');
+    ASSERT_EQ(fds.size(), 4u) << stats[i].user_data;
+    EXPECT_EQ(fds[0], "0");
+    EXPECT_EQ(fds[1], "1");
+    EXPECT_EQ(fds[2], "2");
+    for (usize j = 0; j < i; ++j) reused |= log[j] == log[i];
+  }
+  EXPECT_TRUE(reused) << "no job ran in a reused child";
+  ::close(file);
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
 }
 
 }  // namespace

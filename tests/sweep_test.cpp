@@ -11,14 +11,19 @@
 //  * a kind whose body throws is reported failed and never cached, in
 //    serial, thread, process and --server mode;
 //  * serial, thread, process and in-process-server runs give equal stats
-//    once wall clock and the cache flag are dropped.
+//    once wall clock and the cache flag are dropped;
+//  * fault_point and dse_point jobs run back to back in one reused process
+//    child give the stats they give in fresh children.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -27,6 +32,7 @@
 #include "campaign/campaign.hpp"
 #include "campaign/journal.hpp"
 #include "campaign/result_cache.hpp"
+#include "campaign/worker_pool.hpp"
 #include "service/jobs.hpp"
 #include "service/server.hpp"
 #include "service/sweep.hpp"
@@ -385,6 +391,100 @@ TEST(SweepTest, SerialThreadProcessAndServerRunsAgree) {
   EXPECT_EQ(runs.back().second.threads, 0u);
   ASSERT_TRUE(runs.back().second.service.has_value());
   EXPECT_EQ(runs.back().second.service->service_requests, jobs.size());
+}
+
+TEST(SweepTest, ReusedChildGivesFreshChildStats) {
+  // A, B, A of both memory-recording fault points and DSE points, on one
+  // process-mode worker: all six share one child. Each must report what it
+  // reports alone in a fresh child, memory block included.
+  if (!campaign::ProcessWorkerPool::fork_available())
+    GTEST_SKIP() << "fork-based isolation unavailable in this build";
+  service::FaultPointSpec fa;
+  fa.label = "fault/a";
+  fa.policy = 1;
+  fa.rate_pct = 10;
+  fa.plan_seed = 17;
+  service::FaultPointSpec fb = fa;
+  fb.label = "fault/b";
+  fb.policy = 2;
+  fb.prefetch = true;
+  service::DsePointSpec da;
+  da.label = "dse/a";
+  da.tech = 1;
+  da.slots = 1;
+  service::DsePointSpec db = da;
+  db.label = "dse/b";
+  db.slots = 2;
+  db.prefetch = true;
+  std::vector<service::ServiceJob> jobs;
+  const auto add_fault = [&](const service::FaultPointSpec& spec) {
+    jobs.push_back({jobs.size(), service::fault_point_spec_hash(spec),
+                    "fault_point", spec.label,
+                    service::fault_point_params(spec)});
+  };
+  const auto add_dse = [&](const service::DsePointSpec& spec) {
+    jobs.push_back({jobs.size(),
+                    service::dse_spec_hash(spec.label, spec.loose,
+                                           spec.quantum_ns),
+                    "dse_point", spec.label, service::dse_point_params(spec)});
+  };
+  add_fault(fa);
+  add_fault(fb);
+  add_fault(fa);
+  add_dse(da);
+  add_dse(db);
+  add_dse(da);
+
+  // The builtin kinds, each body also noting the child that ran it in
+  // memory shared with the test.
+  struct Ran {
+    std::atomic<int> count;
+    int pid[16];
+  };
+  void* shared = ::mmap(nullptr, sizeof(Ran), PROT_READ | PROT_WRITE,
+                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(shared, MAP_FAILED);
+  Ran* ran = new (shared) Ran{};
+  service::SweepOptions opt = pool_options("sweep-reuse");
+  opt.threads = 1;
+  opt.processes = true;
+  opt.kinds.clear();
+  for (const auto& [name, builder] : service::builtin_kinds())
+    opt.kinds.emplace_back(
+        name, [builder, ran](const std::string& label,
+                             const service::ParamMap& params)
+                  -> std::optional<service::JobBody> {
+          auto body = builder(label, params);
+          if (!body.has_value()) return std::nullopt;
+          return service::JobBody{
+              [b = std::move(*body), ran](campaign::JobContext& ctx) {
+                ran->pid[ran->count.fetch_add(1) % 16] = ::getpid();
+                b(ctx);
+              }};
+        });
+  const auto reused = service::run_sweep(jobs, opt);
+  ASSERT_TRUE(reused.started);
+  ASSERT_EQ(reused.stats.size(), jobs.size());
+  ASSERT_EQ(ran->count.load(), static_cast<int>(jobs.size()));
+  for (usize i = 1; i < jobs.size(); ++i)
+    EXPECT_EQ(ran->pid[i], ran->pid[0]) << "job " << i << " forked afresh";
+  EXPECT_NE(ran->pid[0], ::getpid());
+  ::munmap(shared, sizeof(Ran));
+
+  for (usize i = 0; i < jobs.size(); ++i) {
+    service::ServiceJob alone = jobs[i];
+    alone.index = 0;
+    auto fresh_opt = pool_options("sweep-reuse");
+    fresh_opt.threads = 1;
+    fresh_opt.processes = true;
+    const auto fresh = service::run_sweep({alone}, fresh_opt);
+    ASSERT_TRUE(fresh.started);
+    campaign::JobStats got = reused.stats[i];
+    ASSERT_TRUE(got.done) << got.label;
+    got.index = 0;
+    EXPECT_EQ(normalized(got), normalized(fresh.stats[0])) << got.label;
+    EXPECT_EQ(got.has_memory, i < 3) << got.label;
+  }
 }
 
 }  // namespace
