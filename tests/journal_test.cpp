@@ -13,6 +13,7 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/journal.hpp"
+#include "campaign/report.hpp"
 #include "kernel/time.hpp"
 #include "util/log.hpp"
 
@@ -54,6 +55,10 @@ JobStats sample_stats(usize index) {
   s.cache_hits = 17;
   s.config_words_fetched = 2048;
   s.hidden_latency = kern::Time::ns(640);
+  s.has_timing = true;
+  s.loose = true;
+  s.quantum = kern::Time::ns(250);
+  s.loose_syncs = 37;
   s.has_migration = true;
   s.migrations = 2;
   s.state_words_moved = 68;
@@ -112,6 +117,10 @@ TEST(JournalTest, RoundTripRestoresCompletedStats) {
   EXPECT_EQ(s.cache_hits, ref.cache_hits);
   EXPECT_EQ(s.config_words_fetched, ref.config_words_fetched);
   EXPECT_EQ(s.hidden_latency, ref.hidden_latency);
+  EXPECT_TRUE(s.has_timing);
+  EXPECT_TRUE(s.loose);
+  EXPECT_EQ(s.quantum, ref.quantum);
+  EXPECT_EQ(s.loose_syncs, ref.loose_syncs);
   EXPECT_TRUE(s.has_migration);
   EXPECT_EQ(s.migrations, ref.migrations);
   EXPECT_EQ(s.state_words_moved, ref.state_words_moved);
@@ -126,6 +135,96 @@ TEST(JournalTest, RoundTripRestoresCompletedStats) {
   EXPECT_EQ(s.worker_deaths, ref.worker_deaths);
   EXPECT_TRUE(s.from_cache);
   EXPECT_EQ(s.user_data, ref.user_data);
+}
+
+/// A failed job without fault or prefetch counters that ran timed (not
+/// loose): covers tmode=timed, the error key, and a migration block with no
+/// memory block.
+JobStats failed_timed_stats(usize index) {
+  JobStats s;
+  s.index = index;
+  s.label = "broken";
+  s.done = true;
+  s.failed = true;
+  s.error = "bad \"cfg\" word";
+  s.wall_seconds = 0.5;
+  s.sim_time = kern::Time::ps(1500);
+  s.delta_count = 3;
+  s.activations = 8;
+  s.has_timing = true;
+  s.quantum = kern::Time::ps(1500);
+  s.has_migration = true;
+  s.migrations = 1;
+  s.state_words_moved = 16;
+  return s;
+}
+
+// The next three tests pin the D-record tail and the report document byte
+// for byte: existing journals, cache files, worker frames and reports must
+// keep decoding and diffing after any change to how they are produced.
+TEST(JournalTest, EncodedTailPinsEveryGroupInOrder) {
+  EXPECT_EQ(encode_job_stats(sample_stats(0)),
+            "label=policy%20a/r%205 done=1 failed=0 quarantined=0 attempts=2"
+            " wall=0.125 sim_ps=420000 deltas=99 activations=1234"
+            " digest=deadbeefcafef00d"
+            " fetch_errors=3 injected=4 fault_events=7"
+            " fault_digest=0123456789abcdef"
+            " prefetch_hits=11 cache_hits=17 cfg_words=2048 hidden_ps=640000"
+            " tmode=loose quantum_ps=250000 loose_syncs=37"
+            " migrations=2 state_words=68 mig_recovered=1"
+            " mem_peak=20480 mem_pages=5 mem_splits=3 mem_shared=2"
+            " ecc_cor=9 ecc_unc=1"
+            " deaths=2 cached=1 udata=cell%20a%09cell%20b%1F1.5");
+}
+
+TEST(JournalTest, EncodedTailPinsTimedModeAndError) {
+  EXPECT_EQ(encode_job_stats(failed_timed_stats(1)),
+            "label=broken done=1 failed=1 quarantined=0 attempts=1"
+            " wall=0.5 sim_ps=1500 deltas=3 activations=8"
+            " digest=0000000000000000 error=bad%20\"cfg\"%20word"
+            " tmode=timed quantum_ps=1500 loose_syncs=0"
+            " migrations=1 state_words=16 mig_recovered=0");
+}
+
+TEST(JournalTest, ReportJsonPinsPerJobBlocks) {
+  JobStats plain;
+  plain.index = 2;
+  plain.label = "plain";
+  plain.done = true;
+  plain.wall_seconds = 0.25;
+  const std::vector<JobStats> jobs = {sample_stats(0), failed_timed_stats(1),
+                                      plain};
+  // The report puts memory before migration; the D record the reverse.
+  EXPECT_EQ(
+      report_json("pinned", 2, jobs),
+      R"({"campaign":"pinned","threads":2,"jobs":[)"
+      R"({"index":0,"label":"policy a/r 5","done":true,"wall_seconds":0.125,)"
+      R"("sim_time_ns":420,"delta_cycles":99,"activations":1234,)"
+      R"("digest":"deadbeefcafef00d","failed":false,"attempts":2,)"
+      R"("cached":true,"worker_deaths":2,)"
+      R"("faults":{"fetch_errors":3,"injected":4,"events":7,)"
+      R"("ledger_digest":"0123456789abcdef"},)"
+      R"("prefetch":{"prefetch_hits":11,"cache_hits":17,)"
+      R"("config_words_fetched":2048,"hidden_latency_ns":640},)"
+      R"("timing":{"mode":"loose","quantum_ns":250,"loose_syncs":37},)"
+      R"("memory":{"resident_peak_bytes":20480,"pages_resident":5,)"
+      R"("cow_splits":3,"shared_pages":2,"ecc_corrected":9,)"
+      R"("ecc_uncorrectable":1},)"
+      R"("migration":{"migrations":2,"state_words_moved":68,)"
+      R"("transfer_faults_recovered":1}},)"
+      R"({"index":1,"label":"broken","done":true,"wall_seconds":0.5,)"
+      R"("sim_time_ns":1.5,"delta_cycles":3,"activations":8,"failed":true,)"
+      R"("error":"bad \"cfg\" word",)"
+      R"("timing":{"mode":"timed","quantum_ns":1.5,"loose_syncs":0},)"
+      R"("migration":{"migrations":1,"state_words_moved":16,)"
+      R"("transfer_faults_recovered":0}},)"
+      R"({"index":2,"label":"plain","done":true,"wall_seconds":0.25,)"
+      R"("sim_time_ns":0,"delta_cycles":0,"activations":0,"failed":false}],)"
+      R"("totals":{"jobs":3,"done":3,"failed":1,"cpu_seconds":0.875,)"
+      R"("delta_cycles":102,"quarantined":0,"fetch_errors":3,)"
+      R"("faults_injected":4,"cache_hits":1,"worker_deaths":2,)"
+      R"("resident_peak_bytes":20480,"cow_splits":3,"ecc_corrected":9,)"
+      R"("ecc_uncorrectable":1,"jobs_per_cpu_second":3.42857}})");
 }
 
 TEST(JournalTest, PlainStatsEmitNoProcessOrCacheKeys) {
