@@ -22,6 +22,22 @@ constexpr char kHeaderMagic[] = "J adriatic-campaign-journal v1";
   return std::strtoull(s.c_str(), nullptr, base);
 }
 
+/// Decodes `key` if it is a kStatsGroups counter; other keys are ignored.
+void decode_counter(JobStats& s, const std::string& key,
+                    const std::string& val) {
+  for (const StatsGroup& g : kStatsGroups) {
+    for (const StatsField& f : g.fields) {
+      if (key != f.journal_key) continue;
+      s.*g.has = true;
+      const u64 v = parse_u64(val, f.kind == StatsKind::kDigest ? 16 : 10);
+      if (f.kind == StatsKind::kTime) f.of<kern::Time>(s) = kern::Time::ps(v);
+      else if (f.kind == StatsKind::kMode) f.of<bool>(s) = val == "loose";
+      else f.of<u64>(s) = v;
+      return;
+    }
+  }
+}
+
 }  // namespace
 
 u64 fnv1a(const std::string& s, u64 seed) {
@@ -189,6 +205,14 @@ void CampaignJournal::record_begun(usize index, u32 attempt) {
   append_line(strfmt("B %zu %u", index, attempt), false);
 }
 
+std::string journal_value(const JobStats& s, const StatsField& f) {
+  if (f.kind == StatsKind::kMode) return f.of<bool>(s) ? "loose" : "timed";
+  const u64 v = f.kind == StatsKind::kTime ? f.of<kern::Time>(s).picoseconds()
+                                           : f.of<u64>(s);
+  return strfmt(f.kind == StatsKind::kDigest ? "%016llx" : "%llu",
+                static_cast<unsigned long long>(v));
+}
+
 std::string encode_job_stats(const JobStats& s) {
   std::string tail = "label=" + encode_field(s.label);
   tail += strfmt(" done=%d failed=%d quarantined=%d attempts=%u", s.done ? 1 : 0,
@@ -201,45 +225,12 @@ std::string encode_job_stats(const JobStats& s) {
   tail += strfmt(" digest=%016llx", static_cast<unsigned long long>(s.digest));
   if (s.failed) tail += " error=" + encode_field(s.error);
   if (s.quarantined) tail += " qreason=" + encode_field(s.quarantine_reason);
-  if (s.has_faults)
-    tail += strfmt(
-        " fetch_errors=%llu injected=%llu fault_events=%llu fault_digest=%016llx",
-        static_cast<unsigned long long>(s.fetch_errors),
-        static_cast<unsigned long long>(s.faults_injected),
-        static_cast<unsigned long long>(s.fault_events),
-        static_cast<unsigned long long>(s.fault_digest));
-  if (s.has_prefetch)
-    tail += strfmt(
-        " prefetch_hits=%llu cache_hits=%llu cfg_words=%llu hidden_ps=%llu",
-        static_cast<unsigned long long>(s.prefetch_hits),
-        static_cast<unsigned long long>(s.cache_hits),
-        static_cast<unsigned long long>(s.config_words_fetched),
-        static_cast<unsigned long long>(s.hidden_latency.picoseconds()));
-  if (s.has_timing)
-    tail += strfmt(" tmode=%s quantum_ps=%llu loose_syncs=%llu",
-                   s.loose ? "loose" : "timed",
-                   static_cast<unsigned long long>(s.quantum.picoseconds()),
-                   static_cast<unsigned long long>(s.loose_syncs));
-  if (s.has_migration)
-    tail += strfmt(
-        " migrations=%llu state_words=%llu mig_recovered=%llu",
-        static_cast<unsigned long long>(s.migrations),
-        static_cast<unsigned long long>(s.state_words_moved),
-        static_cast<unsigned long long>(s.transfer_faults_recovered));
-  // New-in-v9 memory/ECC fields, emitted only when recorded, so older
-  // journals (and memory-silent jobs) keep their exact byte format.
-  if (s.has_memory)
-    tail += strfmt(
-        " mem_peak=%llu mem_pages=%llu mem_splits=%llu mem_shared=%llu"
-        " ecc_cor=%llu ecc_unc=%llu",
-        static_cast<unsigned long long>(s.mem_resident_peak_bytes),
-        static_cast<unsigned long long>(s.mem_pages_resident),
-        static_cast<unsigned long long>(s.mem_cow_splits),
-        static_cast<unsigned long long>(s.mem_shared_pages),
-        static_cast<unsigned long long>(s.ecc_corrected),
-        static_cast<unsigned long long>(s.ecc_uncorrectable));
-  // New-in-v8 fields are emitted only when set, so records written by clean
-  // thread-mode runs stay byte-identical to the pre-process-mode format.
+  for (const StatsGroup& g : kStatsGroups) {
+    if (!(s.*g.has)) continue;
+    for (const StatsField& f : g.fields)
+      tail.append(" ").append(f.journal_key).append("=").append(
+          journal_value(s, f));
+  }
   if (s.worker_deaths > 0)
     tail += strfmt(" deaths=%llu",
                    static_cast<unsigned long long>(s.worker_deaths));
@@ -267,29 +258,10 @@ JobStats decode_job_stats(const std::string& tail) {
     else if (key == "digest") s.digest = parse_u64(val, 16);
     else if (key == "error") s.error = decode_field(val);
     else if (key == "qreason") s.quarantine_reason = decode_field(val);
-    else if (key == "fetch_errors") { s.has_faults = true; s.fetch_errors = parse_u64(val); }
-    else if (key == "injected") s.faults_injected = parse_u64(val);
-    else if (key == "fault_events") s.fault_events = parse_u64(val);
-    else if (key == "fault_digest") s.fault_digest = parse_u64(val, 16);
-    else if (key == "prefetch_hits") { s.has_prefetch = true; s.prefetch_hits = parse_u64(val); }
-    else if (key == "cache_hits") s.cache_hits = parse_u64(val);
-    else if (key == "cfg_words") s.config_words_fetched = parse_u64(val);
-    else if (key == "hidden_ps") s.hidden_latency = kern::Time::ps(parse_u64(val));
-    else if (key == "tmode") { s.has_timing = true; s.loose = val == "loose"; }
-    else if (key == "quantum_ps") s.quantum = kern::Time::ps(parse_u64(val));
-    else if (key == "loose_syncs") s.loose_syncs = parse_u64(val);
-    else if (key == "migrations") { s.has_migration = true; s.migrations = parse_u64(val); }
-    else if (key == "state_words") s.state_words_moved = parse_u64(val);
-    else if (key == "mig_recovered") s.transfer_faults_recovered = parse_u64(val);
-    else if (key == "mem_peak") { s.has_memory = true; s.mem_resident_peak_bytes = parse_u64(val); }
-    else if (key == "mem_pages") s.mem_pages_resident = parse_u64(val);
-    else if (key == "mem_splits") s.mem_cow_splits = parse_u64(val);
-    else if (key == "mem_shared") s.mem_shared_pages = parse_u64(val);
-    else if (key == "ecc_cor") s.ecc_corrected = parse_u64(val);
-    else if (key == "ecc_unc") s.ecc_uncorrectable = parse_u64(val);
     else if (key == "deaths") s.worker_deaths = parse_u64(val);
     else if (key == "cached") s.from_cache = val == "1";
     else if (key == "udata") s.user_data = decode_field(val);
+    else decode_counter(s, key, val);
   }
   return s;
 }

@@ -16,7 +16,8 @@
 //   J adriatic-campaign-journal v1 name=<campaign>
 //   P <index> <spec_hash_hex> <label>       -- job planned
 //   B <index> <attempt>                     -- attempt begun
-//   D <index> key=value ...                 -- result (full JobStats)
+//   D <index> key=value ...                 -- result (full JobStats; the
+//                                              counter keys are kStatsGroups)
 //   X <index> <reason>                      -- worker child died (process
 //                                              mode: crash/timeout kill)
 //   C <spec_hash_hex>                       -- job served from result cache
@@ -30,7 +31,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -60,6 +63,95 @@ namespace adriatic::campaign {
 /// Splits "content cks=hex" and verifies; nullopt on mismatch (torn line).
 [[nodiscard]] std::optional<std::string> strip_checksum(
     const std::string& line);
+
+// -- JobStats counter groups -------------------------------------------------
+// The one list of JobStats' optional counter blocks and their D-record and
+// report keys, walked by encode_job_stats(), decode_job_stats() and
+// report_json(). Keys and their order are the wire format: append rows,
+// never rename or reorder them (docs/campaign.md, "Adding a JobStats
+// counter").
+
+enum class StatsKind : u8 {
+  kCount,   ///< u64, decimal.
+  kDigest,  ///< u64, 16 hex digits (a JSON string in the report).
+  kTime,    ///< kern::Time: picoseconds in the journal, ns in the report.
+  kMode,    ///< The loose flag, written "loose" or "timed".
+};
+
+struct StatsField {
+  const char* journal_key;
+  const char* report_key;
+  StatsKind kind;
+  std::variant<u64 JobStats::*, kern::Time JobStats::*, bool JobStats::*>
+      member;
+  /// The member in `s` (a JobStats or const JobStats), typed as `kind`
+  /// says: u64, kern::Time or bool.
+  template <typename T, typename S>
+  [[nodiscard]] auto& of(S& s) const {
+    return s.*std::get<T JobStats::*>(member);
+  }
+};
+
+struct StatsGroup {
+  const char* report_key;  ///< The group's object in a report job.
+  bool JobStats::*has;     ///< Set by record_*(); decoding, by any key.
+  std::span<const StatsField> fields;
+};
+
+inline constexpr StatsField kFaultFields[] = {
+    {"fetch_errors", "fetch_errors", StatsKind::kCount,
+     &JobStats::fetch_errors},
+    {"injected", "injected", StatsKind::kCount, &JobStats::faults_injected},
+    {"fault_events", "events", StatsKind::kCount, &JobStats::fault_events},
+    {"fault_digest", "ledger_digest", StatsKind::kDigest,
+     &JobStats::fault_digest},
+};
+inline constexpr StatsField kPrefetchFields[] = {
+    {"prefetch_hits", "prefetch_hits", StatsKind::kCount,
+     &JobStats::prefetch_hits},
+    {"cache_hits", "cache_hits", StatsKind::kCount, &JobStats::cache_hits},
+    {"cfg_words", "config_words_fetched", StatsKind::kCount,
+     &JobStats::config_words_fetched},
+    {"hidden_ps", "hidden_latency_ns", StatsKind::kTime,
+     &JobStats::hidden_latency},
+};
+inline constexpr StatsField kTimingFields[] = {
+    {"tmode", "mode", StatsKind::kMode, &JobStats::loose},
+    {"quantum_ps", "quantum_ns", StatsKind::kTime, &JobStats::quantum},
+    {"loose_syncs", "loose_syncs", StatsKind::kCount, &JobStats::loose_syncs},
+};
+inline constexpr StatsField kMigrationFields[] = {
+    {"migrations", "migrations", StatsKind::kCount, &JobStats::migrations},
+    {"state_words", "state_words_moved", StatsKind::kCount,
+     &JobStats::state_words_moved},
+    {"mig_recovered", "transfer_faults_recovered", StatsKind::kCount,
+     &JobStats::transfer_faults_recovered},
+};
+inline constexpr StatsField kMemoryFields[] = {
+    {"mem_peak", "resident_peak_bytes", StatsKind::kCount,
+     &JobStats::mem_resident_peak_bytes},
+    {"mem_pages", "pages_resident", StatsKind::kCount,
+     &JobStats::mem_pages_resident},
+    {"mem_splits", "cow_splits", StatsKind::kCount, &JobStats::mem_cow_splits},
+    {"mem_shared", "shared_pages", StatsKind::kCount,
+     &JobStats::mem_shared_pages},
+    {"ecc_cor", "ecc_corrected", StatsKind::kCount, &JobStats::ecc_corrected},
+    {"ecc_unc", "ecc_uncorrectable", StatsKind::kCount,
+     &JobStats::ecc_uncorrectable},
+};
+/// In D-record order. (The report has always put memory before migration.)
+inline constexpr StatsGroup kStatsGroups[] = {
+    {"faults", &JobStats::has_faults, kFaultFields},
+    {"prefetch", &JobStats::has_prefetch, kPrefetchFields},
+    {"timing", &JobStats::has_timing, kTimingFields},
+    {"migration", &JobStats::has_migration, kMigrationFields},
+    {"memory", &JobStats::has_memory, kMemoryFields},
+};
+
+/// A counter's D-record value: decimal, 16 hex digits, picoseconds, or
+/// "loose"/"timed".
+[[nodiscard]] std::string journal_value(const JobStats& s,
+                                        const StatsField& f);
 
 /// Serialises every populated JobStats field as the `key=value ...` tail of
 /// a D record (everything after "D <index>"). Field order is fixed and

@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "campaign/journal.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -75,56 +76,22 @@ std::string report_json(const std::string& name, usize threads,
     // Cross-run dedup / crash-containment markers (process mode + cache).
     if (s.from_cache) w.field("cached", true);
     if (s.worker_deaths > 0) w.field("worker_deaths", s.worker_deaths);
-    // The fault summary: availability/degradation curves come from plotting
-    // these per-job counters against the jobs' sweep parameters.
-    if (s.has_faults) {
-      w.key("faults").begin_object();
-      w.field("fetch_errors", s.fetch_errors);
-      w.field("injected", s.faults_injected);
-      w.field("events", s.fault_events);
-      w.field("ledger_digest",
-              strfmt("%016llx",
-                     static_cast<unsigned long long>(s.fault_digest)));
-      w.end();
-    }
-    // The prefetch summary: latency-hiding curves come from plotting these
-    // per-job counters against the jobs' scheduler-policy parameters.
-    if (s.has_prefetch) {
-      w.key("prefetch").begin_object();
-      w.field("prefetch_hits", s.prefetch_hits);
-      w.field("cache_hits", s.cache_hits);
-      w.field("config_words_fetched", s.config_words_fetched);
-      w.field("hidden_latency_ns", s.hidden_latency.to_ns());
-      w.end();
-    }
-    // The timing summary: speed/accuracy curves come from plotting a job's
-    // wall time and sync count against its mode and quantum.
-    if (s.has_timing) {
-      w.key("timing").begin_object();
-      w.field("mode", s.loose ? "loose" : "timed");
-      w.field("quantum_ns", s.quantum.to_ns());
-      w.field("loose_syncs", s.loose_syncs);
-      w.end();
-    }
-    // The memory summary: resident-set and degradation curves come from
-    // plotting page/COW counters against sweep size and budget limits.
-    if (s.has_memory) {
-      w.key("memory").begin_object();
-      w.field("resident_peak_bytes", s.mem_resident_peak_bytes);
-      w.field("pages_resident", s.mem_pages_resident);
-      w.field("cow_splits", s.mem_cow_splits);
-      w.field("shared_pages", s.mem_shared_pages);
-      w.field("ecc_corrected", s.ecc_corrected);
-      w.field("ecc_uncorrectable", s.ecc_uncorrectable);
-      w.end();
-    }
-    // The migration summary: state-transfer cost curves come from plotting
-    // words moved and recovered transfer faults against the sweep knobs.
-    if (s.has_migration) {
-      w.key("migration").begin_object();
-      w.field("migrations", s.migrations);
-      w.field("state_words_moved", s.state_words_moved);
-      w.field("transfer_faults_recovered", s.transfer_faults_recovered);
+    // Per-job counter groups: availability, latency-hiding, speed/accuracy,
+    // resident-set and state-transfer curves come from plotting these
+    // against the jobs' sweep parameters. The report has always put memory
+    // (kStatsGroups[4]) before migration, the reverse of the D record.
+    for (const usize g : {0, 1, 2, 4, 3}) {
+      const StatsGroup& group = kStatsGroups[g];
+      if (!(s.*group.has)) continue;
+      w.key(group.report_key).begin_object();
+      for (const StatsField& f : group.fields) {
+        w.key(f.report_key);
+        switch (f.kind) {
+          case StatsKind::kCount: w.value(f.of<u64>(s)); break;
+          case StatsKind::kTime: w.value(f.of<kern::Time>(s).to_ns()); break;
+          default: w.value(journal_value(s, f));  // digest, mode
+        }
+      }
       w.end();
     }
     w.end();
