@@ -347,29 +347,98 @@ bool JobContext::interrupted() const noexcept {
   return interrupted_ || (runner_ != nullptr && runner_->cancelled());
 }
 
-bool JobContext::process_mode() const noexcept {
-  return runner_ != nullptr && runner_->mode() == ExecutionMode::kProcesses;
-}
-
 u64 JobContext::crash_key() const {
   return opt_.spec != 0 ? opt_.spec : spec_hash(stats_->label);
 }
 
-bool JobContext::crash_quarantined() const noexcept {
-  return opt_.crash_limit > 0 && runner_ != nullptr &&
-         runner_->crash_count(crash_key()) >= opt_.crash_limit;
-}
-
-void JobContext::retry_backoff(u32 next_attempt) {
-  if (opt_.retry_backoff_seconds <= 0 || next_attempt < 2) return;
-  double delay = opt_.retry_backoff_seconds;
-  for (u32 a = 2; a < next_attempt; ++a) delay = std::min(delay * 2, 30.0);
-  const auto until =
-      std::chrono::steady_clock::now() + std::chrono::duration<double>(delay);
-  // Small slices keep a backing-off job responsive to stop broadcasts.
-  while (std::chrono::steady_clock::now() < until) {
-    if (interrupted()) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+void JobContext::run_attempts(const std::function<void(JobContext&)>& body,
+                              bool forkable) {
+  const bool process_mode = runner_->pool_ != nullptr;
+  if (process_mode && !forkable) {
+    mark_failed(
+        "process-mode jobs cannot return a non-default-constructible value; "
+        "read CampaignRunner::stats() instead");
+    throw std::logic_error(stats_->error);
+  }
+  const auto quarantine = [this](std::string reason) {
+    mark_quarantined(std::move(reason));
+    return std::runtime_error("job quarantined: " + stats_->quarantine_reason);
+  };
+  // An interrupted job never retries: its simulation was stopped mid-flight,
+  // so the result is partial by design, and a journal resume re-runs it.
+  const auto interrupt = [this] {
+    if (!stats_->quarantined) mark_quarantined("interrupted");
+    return std::runtime_error("job interrupted");
+  };
+  // A spec whose children crashed crash_limit times (across submissions of
+  // this runner) never forks again: resumes and repeat submissions fail fast
+  // instead of burning retries on a deterministic segfault.
+  const auto crash_quarantined = [this] {
+    return opt_.crash_limit > 0 &&
+           runner_->crash_count(crash_key()) >= opt_.crash_limit;
+  };
+  const u32 max_attempts = std::max<u32>(1u, opt_.max_attempts);
+  for (u32 attempt = 1;; ++attempt) {
+    begin_attempt(attempt);
+    // A runner-wide stop (signal) cancels queued work up front.
+    if (interrupted()) throw interrupt();
+    if (process_mode && crash_quarantined())
+      throw quarantine("crash-quarantined");
+    try {
+      if (process_mode) {
+        run_attempt_in_child(body);
+      } else {
+        body(*this);
+      }
+      if (interrupted()) throw interrupt();
+      if (!timed_out_) return;
+    } catch (const mem::BudgetExceededError&) {
+      if (interrupted()) throw interrupt();
+      // Over-budget is deterministic: retrying would allocate the same pages
+      // again, so quarantine immediately — the rest of the sweep keeps its
+      // budget headroom.
+      mark_budget_quarantined();
+      throw std::runtime_error("job quarantined: budget-quarantined");
+    } catch (const WorkerDeathError& death) {
+      using Kind = WorkerFailure::Kind;
+      if (interrupted() || death.failure.kind == Kind::kInterrupted)
+        throw interrupt();
+      if (death.failure.kind == Kind::kTimeout) {
+        // Rides the shared timeout tail below, like a watchdog stop.
+        timed_out_ = true;
+      } else if (crash_quarantined() || attempt >= max_attempts) {
+        throw quarantine(death.failure.reason());
+      }
+    } catch (...) {
+      if (interrupted()) {
+        if (!stats_->quarantined) mark_quarantined("interrupted");
+        throw;
+      }
+      // A timed-out attempt often surfaces as a secondary exception (the
+      // stopped Simulation violates the job's expectations); route it
+      // through the timeout/retry path below instead of reporting the
+      // symptom.
+      if (!timed_out_ && attempt >= max_attempts) {
+        mark_failed(describe_current_exception());
+        throw;
+      }
+    }
+    if (attempt >= max_attempts) {
+      if (!timed_out_) throw quarantine("retries exhausted");
+      // The supervisor's verdict is "timeout"; the in-thread watchdog's is
+      // "wall-clock timeout" (kept for report/journal compatibility).
+      throw quarantine(process_mode ? "timeout" : "wall-clock timeout");
+    }
+    // Exponential backoff before the next attempt, slept in small slices
+    // so a stop broadcast still cancels a backing-off job promptly.
+    if (opt_.retry_backoff_seconds > 0) {
+      double delay = opt_.retry_backoff_seconds;
+      for (u32 a = 1; a < attempt; ++a) delay = std::min(delay * 2, 30.0);
+      const auto until = std::chrono::steady_clock::now() +
+                         std::chrono::duration<double>(delay);
+      while (std::chrono::steady_clock::now() < until && !interrupted())
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
   }
 }
 
@@ -421,6 +490,32 @@ void JobContext::run_attempt_in_child(
                      r.failure.kind == Kind::kProtocol;
   if (crash) runner_->note_crash(crash_key());
   throw WorkerDeathError(r.failure);
+}
+
+void JobContext::run_inline_job(std::string label,
+                                std::vector<JobStats>& records,
+                                const std::function<void(JobContext&)>& body) {
+  JobStats local;
+  local.index = records.size();
+  local.label = std::move(label);
+  JobContext ctx(&local);
+  const mem::JobMemory::Scope memory(ctx.memory_);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto commit = [&] {
+    local.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    local.done = true;
+    records.push_back(std::move(local));
+  };
+  try {
+    body(ctx);
+  } catch (...) {
+    ctx.mark_failed(describe_current_exception());
+    commit();
+    throw;
+  }
+  commit();
 }
 
 void CampaignRunner::wait_idle() {

@@ -788,6 +788,49 @@ TEST(CampaignTest, SegfaultingChildIsQuarantinedWithSignalReason) {
   EXPECT_EQ(stats[1].worker_deaths, 0u);
 }
 
+/// A result with no default constructor: nothing can stand in for a value
+/// that stayed in a process-mode child.
+struct NoDefault {
+  explicit NoDefault(int v) : value(v) {}
+  int value;
+};
+
+TEST(CampaignTest, ProcessModeValueWithoutDefaultFailsBeforeForking) {
+  ADRIATIC_SKIP_WITHOUT_FORK();
+  // Every body run appends a byte: children share the file, not memory.
+  const std::string runs = testing::TempDir() + "adriatic_no_default_runs";
+  std::remove(runs.c_str());
+  const auto body = [&runs] {
+    const int fd = ::open(runs.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    if (fd >= 0) {
+      (void)!::write(fd, "x", 1);
+      ::close(fd);
+    }
+    return NoDefault(7);
+  };
+  CampaignRunner runner(1, ExecutionMode::kProcesses);
+  JobOptions opt;
+  opt.max_attempts = 3;
+  auto fut = runner.submit("no-default", opt, body);
+  EXPECT_THROW(fut.get(), std::logic_error);
+  runner.wait_idle();
+  std::ifstream in(runs, std::ios::binary | std::ios::ate);
+  EXPECT_EQ(in ? static_cast<long>(in.tellg()) : 0L, 0L) << "body ran";
+  const auto stats = runner.stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_TRUE(stats[0].failed);
+  EXPECT_FALSE(stats[0].quarantined);
+  EXPECT_EQ(stats[0].attempts, 1u);
+  EXPECT_NE(stats[0].error.find("non-default-constructible"),
+            std::string::npos);
+  EXPECT_EQ(stats[0].worker_deaths, 0u);
+  EXPECT_EQ(runner.live_children(), 0u);
+  // Thread mode has the value itself and delivers it.
+  CampaignRunner threads(1);
+  EXPECT_EQ(threads.submit("no-default", opt, body).get().value, 7);
+  std::remove(runs.c_str());
+}
+
 // Recurses until the guard page under the fiber stack stops it.
 [[gnu::noinline]] u64 recurse_forever(u64 depth) {
   volatile char pad[1024];
