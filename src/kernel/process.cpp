@@ -137,8 +137,14 @@ void ThreadProcess::wait_time(Time t) {
     sync_local_time();
     return;
   }
-  timeout_event_->notify(t);
-  wait_event(*timeout_event_);
+  wait_for(t);
+}
+
+void ThreadProcess::wait_for(Time t) {
+  if (!sim().wait_in_place(*this, t)) {
+    timeout_event_->notify(t);  // t == 0 degrades to a delta yield
+    wait_event(*timeout_event_);
+  }
   timed_out_ = false;  // a plain timed wait is not a "timeout"
 }
 
@@ -148,9 +154,7 @@ void ThreadProcess::sync_local_time() {
   const Time offset = local_offset_;
   local_offset_ = Time::zero();
   sim().note_loose_sync();
-  timeout_event_->notify(offset);  // offset == 0 degrades to a delta yield
-  wait_event(*timeout_event_);
-  timed_out_ = false;
+  wait_for(offset);
 }
 
 void ThreadProcess::wait_time_event(Time t, Event& e) {

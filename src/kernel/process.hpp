@@ -128,6 +128,10 @@ class ThreadProcess final : public Process {
  private:
   void activate() override;
   void suspend();
+  /// One scheduler-visible wait of `t`: resumed in place when the kernel
+  /// allows it (Simulation::wait_in_place), else a round trip through the
+  /// timeout event.
+  void wait_for(Time t);
   /// Loose mode: performs one real timed wait for the accumulated local
   /// offset (a synchronisation point) and resets the offset.
   void sync_local_time();

@@ -384,6 +384,7 @@ StopReason Simulation::run(Time duration) {
   last_progress_time_ = now_;
   const bool bounded = duration != Time::max();
   const Time end = bounded ? now_ + duration : Time::max();
+  run_end_ = end;
 
   for (;;) {
     // Run delta cycles while there is immediate work: runnable processes,
@@ -457,6 +458,38 @@ StopReason Simulation::run(Time duration) {
       break;
     }
   }
+}
+
+bool Simulation::wait_in_place(Process& p, Time t) {
+  // The round trip's next steps are fixed when nothing else is due first:
+  // no other work in this delta cycle, no stop to honour at its end, and a
+  // timed queue whose top (stale entries included, which the round trip
+  // would pop) comes strictly after the wake, so p's timeout fires alone.
+  // The wake must also land inside this run() and not trip the watchdog.
+  if (t.is_zero() || !runnable_.empty() || !update_queue_.empty() ||
+      !delta_queue_.empty() || !pending_dynamic_.empty() || stop_requested_ ||
+      external_stop_.load(std::memory_order_relaxed) || t > run_end_ - now_)
+    return false;
+  const Time wake = now_ + t;
+  if (!timed_queue_.empty() && timed_top().time <= wake) return false;
+  if (!max_quiet_time_.is_zero() &&
+      wake - last_progress_time_ > max_quiet_time_)
+    return false;
+  ADRIATIC_CHECK(current_process_ == &p,
+                 "wait_in_place called for a process that is not running");
+  // The rest of p's delta cycle (delta_cycle() and run()'s tail) ...
+  ++delta_count_;
+  emit(SchedRecord::Kind::kDeltaCycleEnd, 0);
+  sample_tracers();
+  // ... the time advance and p's timeout (run()'s timed-queue loop) ...
+  now_ = wake;
+  emit(SchedRecord::Kind::kTimeAdvance, 0);
+  emit(SchedRecord::Kind::kTimedNotify, p.timeout_event_->trace_id());
+  // ... and p's dispatch (evaluate()).
+  ++activations_;
+  if (!p.is_daemon()) last_progress_time_ = now_;
+  emit(SchedRecord::Kind::kDispatch, p.trace_id());
+  return true;
 }
 
 bool Simulation::pending_activity() const noexcept {

@@ -197,6 +197,13 @@ class Simulation {
   void request_update(Channel& ch);
   void attach_tracer(TraceFile& tf);
   void detach_tracer(TraceFile& tf);
+  /// Called by the running thread `p` before it blocks for `t`. When `p` is
+  /// the only thing due before now() + t, performs in place the scheduler
+  /// steps its round trip would take (end of the delta cycle, tracer
+  /// sampling, the time advance, its timeout and its dispatch), with the
+  /// same counts and trace records, and returns true: `p` carries on
+  /// without yielding. Otherwise changes nothing and returns false.
+  [[nodiscard]] bool wait_in_place(Process& p, Time t);
 
  private:
   friend class Object;
@@ -254,6 +261,8 @@ class Simulation {
   }
 
   Time now_;
+  /// End time of the current run() (Time::max() when unbounded).
+  Time run_end_ = Time::max();
   u64 delta_count_ = 0;
   u64 activations_ = 0;
   TimingMode timing_mode_ = TimingMode::kTimed;
