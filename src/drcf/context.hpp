@@ -22,9 +22,6 @@ struct ContextParams {
   /// ASIC-equivalent gate count of the functionality; drives derived context
   /// sizes and the power/area estimates (paper Sec. 5.5).
   u64 gates = 0;
-  /// Expected config_digest() of the bitstream; checked against the words
-  /// actually fetched on every load. Zero disables the integrity check.
-  u64 expected_digest = 0;
 };
 
 /// Per-context instrumentation maintained by the DRCF's arb_and_instr

@@ -12,6 +12,38 @@
 
 namespace adriatic::drcf {
 
+namespace {
+
+/// True when `words` equal the image's words [at, at + words.size()),
+/// compared page by page (an elided page holds zeros).
+bool matches_image(const mem::SharedImage& image, usize at,
+                   std::span<const bus::word> words) {
+  while (!words.empty()) {
+    const usize off = at % mem::kPageWords;
+    const usize n = std::min(words.size(), mem::kPageWords - off);
+    const auto part = words.first(n);
+    const mem::PageRef& page = image.page(at / mem::kPageWords);
+    const bool same =
+        page != nullptr
+            ? std::equal(part.begin(), part.end(), page->words.begin() + off)
+            : std::all_of(part.begin(), part.end(),
+                          [](bus::word w) { return w == 0; });
+    if (!same) return false;
+    words = words.subspan(n);
+    at += n;
+  }
+  return true;
+}
+
+/// config_digest() of the image's first `n` words.
+u64 image_prefix_digest(const mem::SharedImage& image, usize n) {
+  u64 h = kConfigDigestSeed;
+  for (usize i = 0; i < n; ++i) h = config_digest_step(h, image.word_at(i));
+  return h;
+}
+
+}  // namespace
+
 const char* to_string(RecoveryPolicy policy) {
   switch (policy) {
     case RecoveryPolicy::kFailFast:
@@ -242,7 +274,7 @@ void Drcf::note_demand_miss(usize target, Context& ctx) {
 bool Drcf::cache_covers(usize target) const {
   if (!config_cache_.enabled() || !cfg_.model_config_traffic) return false;
   if (!config_cache_.contains(target)) return false;
-  const u64 expected = contexts_[target]->params.expected_digest;
+  const u64 expected = contexts_[target]->expected_digest();
   return expected == 0 || config_cache_.digest(target) == expected;
 }
 
@@ -291,7 +323,7 @@ std::optional<TaskState> Drcf::checkpoint_task(usize ctx) {
       static_cast<u32>(c.inner->get_high_add() - lo + 1);
   TaskState s;
   s.context_id = ctx;
-  s.config_digest = c.params.expected_digest;
+  s.config_digest = c.expected_digest();
   s.window_words = window;
   s.progress_cursor = c.stats.accesses;
   s.image.resize(window, 0);
@@ -329,8 +361,8 @@ RestoreError Drcf::restore_task(usize ctx, const TaskState& state) {
     return reject(RestoreError::kGeometryMismatch, lo, state.window_words);
   if (c.pins != 0 || c.waiters != 0 || c.load_pending)
     return reject(RestoreError::kBusyContext, lo, ctx);
-  if (state.config_digest != 0 && c.params.expected_digest != 0 &&
-      state.config_digest != c.params.expected_digest)
+  if (state.config_digest != 0 && c.expected_digest() != 0 &&
+      state.config_digest != c.expected_digest())
     return reject(RestoreError::kDigestMismatch, lo, state.config_digest);
   for (u32 i = 0; i < window; ++i) {
     bus::word w = state.image[i];
@@ -411,7 +443,7 @@ Drcf::FetchResult Drcf::fetch_with_recovery(Context& ctx, usize target,
   kern::Time backoff = cfg_.recovery.backoff;
   bool had_failed_attempt = false;
   for (;;) {
-    const FetchOutcome out = fetch_context(ctx, target, buf, &res.digest);
+    const FetchOutcome out = fetch_context(ctx, target, buf);
     if (out == FetchOutcome::kOk) {
       if (had_failed_attempt)
         ledger_.append(fault::FaultEventKind::kRecovered,
@@ -471,7 +503,7 @@ void Drcf::fill_cache(usize target, std::vector<bus::word>& buf) {
   if (res.ok) {
     ctx.last_fetch_duration = sim().now() - t0;
     const std::vector<usize> pinned = resident_contexts();
-    const auto ins = config_cache_.insert(target, res.digest,
+    const auto ins = config_cache_.insert(target, ctx.expected_digest(),
                                           /*prefetched=*/!demand_joined,
                                           pinned);
     if (ins.evicted.has_value()) ++stats_.cache_evictions;
@@ -584,7 +616,6 @@ void Drcf::arb_and_instr() {
     bool fetch_ok = true;
     bool fetch_aborted = false;
     bool cache_hit = false;
-    u64 fetched_digest = 0;
     const u64 words_before = stats_.config_words_fetched;
     if (config_cache_.contains(target) && !cache_covers(target))
       config_cache_.invalidate(target);  // stale copy: fails the integrity
@@ -606,7 +637,6 @@ void Drcf::arb_and_instr() {
       ctx.fetch_in_progress = false;
       fetch_ok = res.ok;
       fetch_aborted = res.aborted;
-      fetched_digest = res.digest;
       if (res.ok) ctx.last_fetch_duration = sim().now() - t0;
     } else if (cfg_.assumed_fetch_words_per_us > 0.0) {
       const double us = static_cast<double>(ctx.params.size_words) /
@@ -678,7 +708,7 @@ void Drcf::arb_and_instr() {
       // Keep a copy of the freshly fetched configuration: switching back to
       // this context later becomes a cache hit.
       const std::vector<usize> pinned = resident_contexts();
-      const auto ins = config_cache_.insert(target, fetched_digest,
+      const auto ins = config_cache_.insert(target, ctx.expected_digest(),
                                             /*prefetched=*/false, pinned);
       if (ins.evicted.has_value()) ++stats_.cache_evictions;
     }
@@ -743,14 +773,23 @@ bus::BusMasterIf& Drcf::fetch_master() {
 }
 
 Drcf::FetchOutcome Drcf::fetch_context(Context& ctx, usize target,
-                                       std::vector<bus::word>& buf,
-                                       u64* digest_out) {
+                                       std::vector<bus::word>& buf) {
   bus::BusMasterIf& master = fetch_master();
   const kern::Time start = sim().now();
   const kern::Time watchdog = cfg_.recovery.watchdog;
+  const mem::SharedImage* golden = ctx.golden.get();
   u64 remaining = ctx.params.size_words;
+  usize offset = 0;  // of the next chunk, in words from the bitstream start
   bus::addr_t a = ctx.params.config_address;
+  // While every chunk matches the golden image nothing is folded. From the
+  // first mismatch on, `digest` holds config_digest() of the words fetched
+  // so far (the golden prefix, then the fetched words), the value the
+  // kDigestMismatch ledger entry reports.
+  bool diverged = false;
   u64 digest = kConfigDigestSeed;
+#ifdef ADRIATIC_CHECKED
+  u64 full_fold = kConfigDigestSeed;  // the fold the compare path replaces
+#endif
   while (remaining > 0) {
     // Hybrid abort/retarget: a prefetch fetch yields the configuration bus
     // to a demand load at the next chunk boundary. A demand that joined
@@ -773,8 +812,18 @@ Drcf::FetchOutcome Drcf::fetch_context(Context& ctx, usize target,
                      static_cast<u64>(st));
       return FetchOutcome::kBusError;
     }
-    for (const bus::word w : buf) digest = config_digest_step(digest, w);
+    if (golden != nullptr && !diverged &&
+        !matches_image(*golden, offset, buf)) {
+      diverged = true;
+      digest = image_prefix_digest(*golden, offset);
+    }
+    if (diverged)
+      for (const bus::word w : buf) digest = config_digest_step(digest, w);
+#ifdef ADRIATIC_CHECKED
+    for (const bus::word w : buf) full_fold = config_digest_step(full_fold, w);
+#endif
     a += static_cast<bus::addr_t>(chunk);
+    offset += chunk;
     remaining -= chunk;
     stats_.config_words_fetched += chunk;
     ctx.stats.config_words_fetched += chunk;
@@ -790,8 +839,14 @@ Drcf::FetchOutcome Drcf::fetch_context(Context& ctx, usize target,
       return FetchOutcome::kWatchdog;
     }
   }
-  if (ctx.params.expected_digest != 0 &&
-      digest != ctx.params.expected_digest) {
+  // The compare path must reach the verdict (and, on a mismatch, the
+  // digest) that folding every fetched word reaches.
+  ADRIATIC_CHECK(golden == nullptr ||
+                     diverged == (full_fold != golden->digest()),
+                 "golden compare and digest fold disagree on a fetch");
+  ADRIATIC_CHECK(!diverged || digest == full_fold,
+                 "mismatch digest differs from the fold of the fetched words");
+  if (diverged) {
     log::error() << name() << ": context " << target
                  << " configuration integrity check failed";
     ++stats_.digest_mismatches;
@@ -801,12 +856,15 @@ Drcf::FetchOutcome Drcf::fetch_context(Context& ctx, usize target,
                    ctx.params.config_address, digest);
     return FetchOutcome::kDigestMismatch;
   }
-  if (digest_out != nullptr) *digest_out = digest;
   return FetchOutcome::kOk;
 }
 
-void Drcf::set_expected_digest(usize ctx, u64 digest) {
-  contexts_.at(ctx)->params.expected_digest = digest;
+void Drcf::set_golden_bitstream(usize ctx, mem::SharedImageRef image) {
+  Context& c = *contexts_.at(ctx);
+  if (image != nullptr && image->size_words() != c.params.size_words)
+    throw std::invalid_argument(
+        name() + ": golden bitstream size differs from the context size");
+  c.golden = std::move(image);
 }
 
 ContextStats Drcf::context_stats(usize ctx) const {

@@ -37,6 +37,7 @@
 #include "kernel/module.hpp"
 #include "kernel/port.hpp"
 #include "kernel/signal.hpp"
+#include "memory/paged_store.hpp"
 
 namespace adriatic::drcf {
 
@@ -77,8 +78,10 @@ struct RecoveryConfig {
   u32 scrub_refetches = 1;
 };
 
-/// FNV-1a over the four bytes of one fetched configuration word — the
-/// integrity check folded over a context's bitstream during fetch.
+/// FNV-1a over the four bytes of one configuration word. config_digest()
+/// folds it over a bitstream: a context's expected digest (equal to
+/// mem::image_digest() of its golden image) and the digest a mismatching
+/// fetch reports.
 [[nodiscard]] constexpr u64 config_digest_step(u64 h, bus::word w) noexcept {
   const u32 v = static_cast<u32>(w);
   for (u32 shift = 0; shift < 32; shift += 8)
@@ -230,10 +233,12 @@ class Drcf : public kern::Module, public bus::BusSlaveIf {
   /// value is the last installed context id. Call before the first switch.
   [[nodiscard]] kern::Signal<u32>& trace_active_context();
 
-  /// Sets the expected configuration digest for a context; fetched words
-  /// are folded with config_digest_step() and compared after every load.
-  /// Zero (the default) disables the integrity check for that context.
-  void set_expected_digest(usize ctx, u64 digest);
+  /// Arms the fetch integrity check for a context: every load compares the
+  /// fetched words with `image` (the golden bitstream, size_words long) and
+  /// fails on the first difference. The expected digest is image->digest(),
+  /// the config_digest() of the bitstream. A context without a golden image
+  /// (the default) is not checked.
+  void set_golden_bitstream(usize ctx, mem::SharedImageRef image);
 
   /// Structured record of every fault injected into and observed by this
   /// fabric's configuration-fetch path (shared with the fetch interposer).
@@ -303,6 +308,13 @@ class Drcf : public kern::Module, public bus::BusSlaveIf {
     kern::Time fetch_started;        ///< Valid while fetch_in_progress.
     kern::Time last_fetch_duration;  ///< Duration of the last real fetch.
     u64 trace_id = 0;  ///< sched_name_hash of the loaded event's name.
+    /// Golden bitstream fetches are checked against (null = unchecked).
+    mem::SharedImageRef golden;
+
+    /// config_digest() of the golden bitstream; zero when unchecked.
+    [[nodiscard]] u64 expected_digest() const noexcept {
+      return golden != nullptr ? golden->digest() : 0;
+    }
   };
 
   /// Outcome of one complete configuration-fetch attempt.
@@ -319,7 +331,6 @@ class Drcf : public kern::Module, public bus::BusSlaveIf {
   struct FetchResult {
     bool ok = false;
     bool aborted = false;  ///< kAbortedPrefetch: not a failure, not a success.
-    u64 digest = 0;        ///< Digest of the fetched words when ok.
   };
 
   void arb_and_instr();  ///< The scheduler/instrumentation process.
@@ -362,10 +373,10 @@ class Drcf : public kern::Module, public bus::BusSlaveIf {
   [[nodiscard]] std::optional<usize> decode(bus::addr_t add) const;
   void close_residency(Context& c, kern::Time at);
   /// One complete fetch attempt for `target`'s configuration: chunked burst
-  /// reads, watchdog checks, digest fold + integrity check. Updates stats
-  /// and the ledger for the failure it reports.
+  /// reads, watchdog checks, and the integrity check against the golden
+  /// bitstream. Updates stats and the ledger for the failure it reports.
   FetchOutcome fetch_context(Context& ctx, usize target,
-                             std::vector<bus::word>& buf, u64* digest_out);
+                             std::vector<bus::word>& buf);
   /// The full fetch with the configured recovery policy applied: retries
   /// under kRetryBackoff, scrubbing re-fetches, recovered-event ledgering.
   FetchResult fetch_with_recovery(Context& ctx, usize target,

@@ -286,7 +286,20 @@ void PagedStore::load(usize at, std::span<const bus::word> data) {
   if (data.empty()) return;
   if (at + data.size() > size_words_)
     throw std::out_of_range(name_ + ": load outside store");
-  for (usize i = 0; i < data.size(); ++i) write(at + i, data[i]);
+  // Page by page: one materialize per page, then the same per-word
+  // checksum update write() makes.
+  while (!data.empty()) {
+    const usize off = at % kPageWords;
+    const usize n = std::min(data.size(), kPageWords - off);
+    PageData& p = materialize(at / kPageWords, /*preserve_golden=*/false);
+    for (usize i = 0; i < n; ++i) {
+      p.checksum += checksum_term(off + i, data[i]) -
+                    checksum_term(off + i, p.words[off + i]);
+      p.words[off + i] = data[i];
+    }
+    data = data.subspan(n);
+    at += n;
+  }
 }
 
 bus::word PagedStore::peek(usize idx) const {

@@ -1,12 +1,33 @@
 #include "netlist/elaborate.hpp"
 
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "util/strings.hpp"
 
 namespace adriatic::netlist {
 
 namespace {
+
+/// The interned synthetic bitstream of `size` words, each `word`. Memoised
+/// process-wide, so a job elaborating a design that an earlier job already
+/// elaborated neither fills nor hashes its bitstreams again. Like the
+/// ImageRegistry's mutex, the memo's mutex is only held inside elaboration
+/// and never across a fork.
+mem::SharedImageRef synthetic_bitstream(bus::word word, u64 size) {
+  static std::mutex mu;
+  static std::map<std::pair<bus::word, u64>, mem::SharedImageRef> memo;
+  std::lock_guard<std::mutex> lock(mu);
+  mem::SharedImageRef& image = memo[{word, size}];
+  if (image == nullptr)
+    image = mem::ImageRegistry::instance().intern(
+        std::vector<bus::word>(size, word));
+  return image;
+}
+
 [[noreturn]] void fail_validation(const std::vector<std::string>& problems) {
   std::string msg = "Design validation failed:";
   for (const auto& p : problems) msg += "\n  - " + p;
@@ -131,42 +152,33 @@ Elaborated::Elaborated(kern::Simulation& sim, const Design& design,
         auto& inner = get_hwacc(dr->contexts[i]);
         const usize ctx = fabric.add_context(inner, dr->context_params[i]);
         // Write a synthetic bitstream so configuration fetches return
-        // recognisable words.
+        // recognisable words, and arm the fabric's fetch integrity check
+        // with it as the golden copy.
         const auto& params = fabric.context_params(ctx);
         for (const auto& mem_name : design.names()) {
-          if (const auto* mm = design.get_if<MemoryDecl>(mem_name)) {
-            auto& mem = get_memory(mem_name);
-            if (params.config_address >= mem.get_low_add() &&
-                params.config_address + params.size_words - 1 <=
-                    mem.get_high_add()) {
-              // Fold the words into the expected digest as they are placed,
-              // arming the fabric's fetch integrity check for this context.
-              const auto word = static_cast<bus::word>(
-                  kBitstreamPattern | static_cast<u32>(ctx));
-              const std::vector<bus::word> bits(params.size_words, word);
-              u64 digest = drcf::kConfigDigestSeed;
-              for (u64 w = 0; w < params.size_words; ++w)
-                digest = drcf::config_digest_step(digest, bits[w]);
-              // Bitstreams are shared read-mostly data: intern the image
-              // process-wide and attach it page-for-page when the placement
-              // allows, so identical contexts across campaign jobs alias one
-              // golden copy instead of materialising private pages.
-              const usize off = params.config_address - mem.get_low_add();
-              if (off % mem::kPageWords == 0 &&
-                  mem.backing().pages_untouched(off, params.size_words)) {
-                mem.attach_image(mem::ImageRegistry::instance().intern(bits),
-                                 params.config_address);
-              } else {
-                for (u64 w = 0; w < params.size_words; ++w)
-                  mem.poke(
-                      params.config_address + static_cast<bus::addr_t>(w),
-                      bits[w]);
-              }
-              fabric.set_expected_digest(ctx, digest);
-              break;
-            }
-            (void)mm;
+          if (design.get_if<MemoryDecl>(mem_name) == nullptr) continue;
+          auto& mem = get_memory(mem_name);
+          if (params.config_address < mem.get_low_add() ||
+              params.config_address + params.size_words - 1 >
+                  mem.get_high_add())
+            continue;
+          const auto word = static_cast<bus::word>(kBitstreamPattern |
+                                                   static_cast<u32>(ctx));
+          auto image = synthetic_bitstream(word, params.size_words);
+          // Bitstreams are shared read-mostly data: attach the interned image
+          // page-for-page when the placement allows, so identical contexts
+          // across campaign jobs alias one golden copy instead of
+          // materialising private pages.
+          const usize off = params.config_address - mem.get_low_add();
+          if (off % mem::kPageWords == 0 &&
+              mem.backing().pages_untouched(off, params.size_words)) {
+            mem.attach_image(image, params.config_address);
+          } else {
+            mem.load(params.config_address,
+                     std::vector<bus::word>(params.size_words, word));
           }
+          fabric.set_golden_bitstream(ctx, std::move(image));
+          break;
         }
       }
       get_bus(dr->slave_bus).bind_slave(fabric);

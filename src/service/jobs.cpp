@@ -158,11 +158,9 @@ FaultPointOutcome run_fault_point(const FaultPointSpec& spec,
         {.config_address = base, .size_words = kConfigWords, .gates = 10'000});
     const std::vector<bus::word> bits(
         kConfigWords, static_cast<bus::word>(0xC0DE0000u | c));
-    u64 digest = drcf::kConfigDigestSeed;
-    for (u64 w = 0; w < kConfigWords; ++w)
-      digest = drcf::config_digest_step(digest, bits[w]);
-    cfg_mem.attach_image(mem::ImageRegistry::instance().intern(bits), base);
-    fabric.set_expected_digest(id, digest);
+    auto image = mem::ImageRegistry::instance().intern(bits);
+    cfg_mem.attach_image(image, base);
+    fabric.set_golden_bitstream(id, std::move(image));
   }
   fabric.mst_port.bind(sys_bus);
   sys_bus.bind_slave(cfg_mem);

@@ -418,19 +418,16 @@ struct RecoveryFixture {
     sys_bus.bind_slave(drcf);
   }
 
-  /// Registers `inner`, pokes its synthetic bitstream and arms the
-  /// integrity check with the matching digest (as elaborate.cpp does).
+  /// Registers `inner`, loads its synthetic bitstream and arms the
+  /// integrity check with it as the golden copy (as elaborate.cpp does).
   usize arm(bus::BusSlaveIf& inner, bus::addr_t base) {
     const usize id = drcf.add_context(
         inner,
         {.config_address = base, .size_words = kWords, .gates = 10'000});
-    u64 digest = drcf::kConfigDigestSeed;
-    for (u64 w = 0; w < kWords; ++w) {
-      const auto word = static_cast<bus::word>(0xB1750000u | id);
-      cfg_mem.poke(base + static_cast<bus::addr_t>(w), word);
-      digest = drcf::config_digest_step(digest, word);
-    }
-    drcf.set_expected_digest(id, digest);
+    const std::vector<bus::word> bits(
+        kWords, static_cast<bus::word>(0xB1750000u | id));
+    cfg_mem.load(base, bits);
+    drcf.set_golden_bitstream(id, mem::ImageRegistry::instance().intern(bits));
     return id;
   }
 

@@ -383,11 +383,10 @@ TEST(PagedStore, EccRecoveryLadderConvergesOnGoldenRepair) {
   drcf::Drcf fabric(f.top, "drcf", dc);
   const usize id = fabric.add_context(
       ctx_mem, {.config_address = 0x10000, .size_words = 64, .gates = 10'000});
-  const auto bits = pattern(64, 0xB1750000);
-  u64 digest = drcf::kConfigDigestSeed;
-  for (const bus::word w : bits) digest = drcf::config_digest_step(digest, w);
-  cfg_mem.attach_image(mem::ImageRegistry::instance().intern(bits), 0x10000);
-  fabric.set_expected_digest(id, digest);
+  const auto image =
+      mem::ImageRegistry::instance().intern(pattern(64, 0xB1750000));
+  cfg_mem.attach_image(image, 0x10000);
+  fabric.set_golden_bitstream(id, image);
   fabric.mst_port.bind(sys_bus);
   sys_bus.bind_slave(cfg_mem);
   sys_bus.bind_slave(fabric);

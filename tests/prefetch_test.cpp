@@ -85,18 +85,16 @@ struct PrefetchRig {
     sys_bus.bind_slave(fabric);
   }
 
-  /// Pokes a synthetic bitstream per context and arms the integrity check
-  /// with the matching digest (as elaborate.cpp does).
+  /// Loads a synthetic bitstream per context and arms the integrity check
+  /// with it as the golden copy (as elaborate.cpp does).
   void arm_digests(u64 ctx_words = kCtxWords) {
     for (usize i = 0; i < slaves.size(); ++i) {
       const auto base = static_cast<bus::addr_t>(0x10000 + i * ctx_words);
-      u64 digest = kConfigDigestSeed;
-      for (u64 w = 0; w < ctx_words; ++w) {
-        const auto word = static_cast<bus::word>(0xB1750000u | i);
-        cfg_mem.poke(base + static_cast<bus::addr_t>(w), word);
-        digest = config_digest_step(digest, word);
-      }
-      fabric.set_expected_digest(i, digest);
+      const std::vector<bus::word> bits(
+          ctx_words, static_cast<bus::word>(0xB1750000u | i));
+      cfg_mem.load(base, bits);
+      fabric.set_golden_bitstream(i,
+                                  mem::ImageRegistry::instance().intern(bits));
     }
   }
 
