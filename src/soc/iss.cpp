@@ -68,7 +68,8 @@ bool IssProcessor::fetch(u32 pc, bus::word* w0, bus::word* w1) {
       }
       return false;
     };
-    for (const auto [a, out] : {std::pair{addr, w0}, std::pair{addr + 1, w1}}) {
+    for (const auto& [a, out] :
+         {std::pair{addr, w0}, std::pair{addr + 1, w1}}) {
       if (cached(a, out)) continue;
       // Refill the line containing `a`.
       line_base_ = a & ~static_cast<bus::addr_t>(cfg_.icache_line_words - 1);
