@@ -80,6 +80,19 @@ struct DrcfRig {
     return static_cast<bus::addr_t>(0x100 + i * 0x100);
   }
 
+  /// Loads a synthetic bitstream per context into cfg_mem and arms the
+  /// fabric's fetch integrity check with it as the golden copy.
+  void arm_golden_bitstreams() {
+    for (usize i = 0; i < fabric.context_count(); ++i) {
+      const auto& p = fabric.context_params(i);
+      const std::vector<bus::word> bits(
+          p.size_words, static_cast<bus::word>(0xC0DE0000u | i));
+      cfg_mem.load(p.config_address, bits);
+      fabric.set_golden_bitstream(
+          i, mem::ImageRegistry::instance().intern(bits));
+    }
+  }
+
   kern::Simulation sim;
   kern::Module top{sim, "top"};
   bus::Bus sys_bus;

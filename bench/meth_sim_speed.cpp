@@ -339,11 +339,15 @@ void BM_DrcfHitForwarding(benchmark::State& state) {
 }
 BENCHMARK(BM_DrcfHitForwarding);
 
-void BM_DrcfContextSwitch(benchmark::State& state) {
+// Ping-pong between two contexts of a single-slot fabric: every read
+// fetches Arg words of configuration. With `armed`, each fetched chunk is
+// checked against the context's golden bitstream.
+void run_context_switches(benchmark::State& state, bool armed) {
   drcf::DrcfConfig dc;
   dc.technology = drcf::varicore_like();
   dc.technology.per_switch_overhead = kern::Time::zero();
   adriatic::bench::DrcfRig rig(2, static_cast<u64>(state.range(0)), dc);
+  if (armed) rig.arm_golden_bitstreams();
   u64 switches = 0;
   rig.top.spawn_thread("driver", [&] {
     bus::word w = 0;
@@ -356,7 +360,17 @@ void BM_DrcfContextSwitch(benchmark::State& state) {
   for (auto _ : state) rig.sim.run(kern::Time::ms(1));
   state.SetItemsProcessed(static_cast<i64>(switches));
 }
+
+void BM_DrcfContextSwitch(benchmark::State& state) {
+  run_context_switches(state, /*armed=*/false);
+}
 BENCHMARK(BM_DrcfContextSwitch)->Arg(64)->Arg(1024);
+
+void BM_DrcfContextSwitchArmed(benchmark::State& state) {
+  run_context_switches(state, /*armed=*/true);
+  state.SetLabel("layer=drcf");
+}
+BENCHMARK(BM_DrcfContextSwitchArmed)->Arg(64)->Arg(1024);
 
 // Latency hiding of the context-prefetch layer: Arg(0) runs the ring driver
 // on-demand (every step pays the full configuration fetch), Arg(1) under
