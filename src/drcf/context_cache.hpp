@@ -29,8 +29,9 @@ class ContextCache {
   [[nodiscard]] bool contains(usize ctx) const {
     return find(ctx) != nullptr;
   }
-  /// Digest the cached copy was fetched with (kConfigDigestSeed fold);
-  /// zero when the context is not cached.
+  /// Digest the cached copy was fetched with: the context's expected digest
+  /// at the time of the fetch (zero for an unchecked context); zero when the
+  /// context is not cached.
   [[nodiscard]] u64 digest(usize ctx) const {
     const Plane* p = find(ctx);
     return p != nullptr ? p->digest : 0;
