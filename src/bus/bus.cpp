@@ -8,6 +8,21 @@
 
 namespace adriatic::bus {
 
+namespace {
+
+/// The slave side of a write transaction: one write() per word. A read
+/// burst is one read_burst() call instead (the occupancy was already paid
+/// once for the whole burst).
+bool write_words(BusSlaveIf& slave, addr_t add, std::span<const word> wdata) {
+  for (usize i = 0; i < wdata.size(); ++i) {
+    word w = wdata[i];
+    if (!slave.write(add + static_cast<addr_t>(i), &w)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 Bus::Bus(kern::Object& parent, std::string name, BusConfig cfg)
     : Module(parent, std::move(name)),
       cfg_(cfg),
@@ -109,31 +124,13 @@ BusStatus Bus::transfer(addr_t add, word* data, usize len, bool is_read,
       ++stats_.writes;
     if (n > 1) ++stats_.bursts;
 
-    bool ok = true;
-    if (cfg_.split_transactions) {
-      // Split: the bus is free again while the slave services the request.
-      arbiter_.release();
-      for (usize i = 0; i < n && ok; ++i) {
-        if (is_read) {
-          ok = slave->read(add + static_cast<addr_t>(i), data + i);
-        } else {
-          word w = wdata[i];
-          ok = slave->write(add + static_cast<addr_t>(i), &w);
-        }
-      }
-    } else {
-      // Blocking: the bus is held for the entire slave call — if the slave
-      // suspends (DRCF context switch), every other master is locked out.
-      for (usize i = 0; i < n && ok; ++i) {
-        if (is_read) {
-          ok = slave->read(add + static_cast<addr_t>(i), data + i);
-        } else {
-          word w = wdata[i];
-          ok = slave->write(add + static_cast<addr_t>(i), &w);
-        }
-      }
-      arbiter_.release();
-    }
+    // Split: the bus is free again while the slave services the request.
+    // Blocking: the bus is held for the entire slave call — if the slave
+    // suspends (DRCF context switch), every other master is locked out.
+    if (cfg_.split_transactions) arbiter_.release();
+    const bool ok = is_read ? slave->read_burst(add, data, n)
+                            : write_words(*slave, add, wdata.first(n));
+    if (!cfg_.split_transactions) arbiter_.release();
     if (!ok) {
       ++stats_.slave_errors;
       st = BusStatus::kSlaveError;
@@ -194,15 +191,8 @@ BusStatus Bus::transfer_direct(BusSlaveIf& slave, addr_t add, word* data,
     }
   }
 
-  bool ok = true;
-  for (usize i = 0; i < len && ok; ++i) {
-    if (is_read) {
-      ok = slave.read(add + static_cast<addr_t>(i), data + i);
-    } else {
-      word w = wdata[i];
-      ok = slave.write(add + static_cast<addr_t>(i), &w);
-    }
-  }
+  const bool ok = is_read ? slave.read_burst(add, data, len)
+                          : write_words(slave, add, wdata.first(len));
   if (!ok) {
     ++stats_.slave_errors;
     return BusStatus::kSlaveError;

@@ -1,7 +1,8 @@
 // Bus interfaces. BusSlaveIf reproduces the paper's `bus_slv_if` verbatim
 // (Sec. 5.2): address-range discovery via get_low_add()/get_high_add() is
 // what lets the DRCF transformation build its routing multiplexer — the
-// paper's Sec. 5.4 limitation 2 makes this pair mandatory.
+// paper's Sec. 5.4 limitation 2 makes this pair mandatory. Its one addition,
+// the defaulted read_burst() hook, changes no slave's behaviour.
 #pragma once
 
 #include <functional>
@@ -27,6 +28,15 @@ class BusSlaveIf : public virtual kern::Interface {
   /// when called from a thread process.
   virtual bool read(addr_t add, word* data) = 0;
   virtual bool write(addr_t add, word* data) = 0;
+  /// Reads `len` consecutive words: the bus makes one such call per read
+  /// burst. Stops at the first failing word, keeping the words before it,
+  /// and returns false. The default is read() per word; a slave that can
+  /// serve a run at once (paged memory) overrides it.
+  virtual bool read_burst(addr_t add, word* data, usize len) {
+    for (usize i = 0; i < len; ++i)
+      if (!read(add + static_cast<addr_t>(i), data + i)) return false;
+    return true;
+  }
 };
 
 enum class BusStatus : u8 {

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "kernel/sched_trace.hpp"
+#include "util/check.hpp"
 
 namespace adriatic::mem {
 
@@ -48,6 +49,36 @@ bool Memory::read(bus::addr_t add, bus::word* data) {
     return false;
   }
   ++stats_.reads;
+  return true;
+}
+
+bool Memory::read_burst(bus::addr_t add, bus::word* data, usize len) {
+  const usize first = add - low_;
+  if (!read_latency_.is_zero() || ecc_ != nullptr || data == nullptr ||
+      add < low_ || first + len > store_.size_words())
+    return BusSlaveIf::read_burst(add, data, len);
+  for (usize done = 0; done < len;) {
+    const usize idx = first + done;
+    const usize n = std::min(len - done, kPageWords - idx % kPageWords);
+    // The gate read() applies to every word, once per page: a failing page
+    // fails the burst at its first word, after the words before it.
+    if (!store_.check_page_on_read(PagedStore::page_of(idx))) {
+      stats_.reads += done;
+      ++stats_.errors;
+      if (ledger_ != nullptr)
+        ledger_->append(fault::FaultEventKind::kEccUncorrectable,
+                        sim().now().picoseconds(), site_, low_ + idx, 0);
+      return false;
+    }
+    store_.read_run(idx, data + done, n);
+    if constexpr (kCheckedBuild) {
+      for (usize i = 0; i < n; ++i)
+        ADRIATIC_CHECK(data[done + i] == store_.peek(idx + i),
+                       "burst read returned a word the store does not hold");
+    }
+    done += n;
+  }
+  stats_.reads += len;
   return true;
 }
 

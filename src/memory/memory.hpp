@@ -46,6 +46,12 @@ class Memory : public kern::Module,
   }
   bool read(bus::addr_t add, bus::word* data) override;
   bool write(bus::addr_t add, bus::word* data) override;
+  /// Serves a burst a page run at a time: one integrity gate and one copy
+  /// per page, with exactly the data, stats and ledger entries of read()
+  /// per word. A non-zero read latency (its per-word waits set the
+  /// schedule), an installed ECC model (it draws per word) or a range not
+  /// fully mapped take read() per word instead.
+  bool read_burst(bus::addr_t add, bus::word* data, usize len) override;
 
   // bus::DmiProvider ----------------------------------------------------------
   /// Grants direct access to the *page* containing `add`, with this memory's

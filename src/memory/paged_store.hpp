@@ -174,6 +174,10 @@ class PagedStore {
 
   // Data path ----------------------------------------------------------------
   [[nodiscard]] bus::word read(usize idx);
+  /// Copies the `n` words from `idx` into `out`; the run must stay within
+  /// one page. A zero page fills zeros and counts n zero_page_reads, as n
+  /// read() calls would.
+  void read_run(usize idx, bus::word* out, usize n);
   void write(usize idx, bus::word value);
   void load(usize at, std::span<const bus::word> data);
   [[nodiscard]] bus::word peek(usize idx) const;
