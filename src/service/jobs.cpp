@@ -1,6 +1,7 @@
 #include "service/jobs.hpp"
 
 #include <chrono>
+#include <initializer_list>
 #include <stdexcept>
 #include <thread>
 
@@ -58,6 +59,22 @@ bool param_bool(const ParamMap& params, const std::string& key, bool& out) {
   else if (it->second == "0") out = false;
   else return false;
   return true;
+}
+
+/// Memory footprint of a job's model: resident pages across its stores and
+/// how many of those alias interned golden pages; the peak is the job's own
+/// (JobContext), the same in every execution mode.
+void record_stores(campaign::JobContext& ctx,
+                   std::initializer_list<const mem::Memory*> memories) {
+  u64 pages = 0;
+  u64 shared = 0;
+  u64 splits = 0;
+  for (const mem::Memory* m : memories) {
+    pages += m->backing().resident_pages();
+    shared += m->backing().shared_pages();
+    splits += m->backing().stats().cow_splits;
+  }
+  ctx.record_memory(pages, splits, shared);
 }
 
 }  // namespace
@@ -209,20 +226,7 @@ FaultPointOutcome run_fault_point(const FaultPointSpec& spec,
     ctx->record_faults(fs.fetch_errors, fabric.fault_ledger());
     ctx->record_prefetch(fs.prefetch_hits, fs.cache_hits,
                          fs.config_words_fetched, fs.hidden_latency);
-    // Memory footprint of this job's model: resident pages across its three
-    // stores and how many of those alias interned golden pages; the peak is
-    // the job's own (JobContext), the same in every execution mode.
-    const mem::PagedStore* stores[] = {&cfg_mem.backing(), &ctx_mem0.backing(),
-                                       &ctx_mem1.backing()};
-    u64 pages = 0;
-    u64 shared = 0;
-    u64 splits = 0;
-    for (const auto* st : stores) {
-      pages += st->resident_pages();
-      shared += st->shared_pages();
-      splits += st->stats().cow_splits;
-    }
-    ctx->record_memory(pages, splits, shared);
+    record_stores(*ctx, {&cfg_mem, &ctx_mem0, &ctx_mem1});
     // The table row rides JobStats::user_data through the worker socket, the
     // journal, the result cache and the service's RESULT frames, so jobs
     // that ran in another address space still print.
@@ -426,6 +430,7 @@ DseOutcome run_dse_point(const DsePointSpec& spec, campaign::JobContext* ctx) {
   if (ctx != nullptr) {
     ctx->record(sim);
     ctx->record_timing(sim);
+    record_stores(*ctx, {&e.get_memory("ram"), &e.get_memory("cfg_mem")});
   }
   if (ctx != nullptr && ctx->interrupted()) {
     out.error = "interrupted";
@@ -487,6 +492,7 @@ DseOutcome run_dse_hardwired(bool loose, u32 quantum_ns,
   if (ctx != nullptr) {
     ctx->record(sim);
     ctx->record_timing(sim);
+    record_stores(*ctx, {&e.get_memory("ram"), &e.get_memory("cfg_mem")});
   }
   if (ctx != nullptr && ctx->interrupted()) {
     out.error = "interrupted";

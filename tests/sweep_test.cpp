@@ -394,9 +394,9 @@ TEST(SweepTest, SerialThreadProcessAndServerRunsAgree) {
 }
 
 TEST(SweepTest, ReusedChildGivesFreshChildStats) {
-  // A, B, A of both memory-recording fault points and DSE points, on one
-  // process-mode worker: all six share one child. Each must report what it
-  // reports alone in a fresh child, memory block included.
+  // A, B, A of fault points and of DSE points, all memory-recording, on
+  // one process-mode worker: all six share one child. Each must report what
+  // it reports alone in a fresh child, memory block included.
   if (!campaign::ProcessWorkerPool::fork_available())
     GTEST_SKIP() << "fork-based isolation unavailable in this build";
   service::FaultPointSpec fa;
@@ -483,7 +483,7 @@ TEST(SweepTest, ReusedChildGivesFreshChildStats) {
     ASSERT_TRUE(got.done) << got.label;
     got.index = 0;
     EXPECT_EQ(normalized(got), normalized(fresh.stats[0])) << got.label;
-    EXPECT_EQ(got.has_memory, i < 3) << got.label;
+    EXPECT_TRUE(got.has_memory) << got.label;
   }
 }
 
