@@ -37,8 +37,8 @@ bool matches_image(const mem::SharedImage& image, usize at,
 
 /// config_digest() of the image's first `n` words.
 u64 image_prefix_digest(const mem::SharedImage& image, usize n) {
-  u64 h = kConfigDigestSeed;
-  for (usize i = 0; i < n; ++i) h = config_digest_step(h, image.word_at(i));
+  u64 h = kFnvSeed;
+  for (usize i = 0; i < n; ++i) h = fnv1a_step(h, image.word_at(i));
   return h;
 }
 
@@ -786,9 +786,9 @@ Drcf::FetchOutcome Drcf::fetch_context(Context& ctx, usize target,
   // so far (the golden prefix, then the fetched words), the value the
   // kDigestMismatch ledger entry reports.
   bool diverged = false;
-  u64 digest = kConfigDigestSeed;
+  u64 digest = kFnvSeed;
 #ifdef ADRIATIC_CHECKED
-  u64 full_fold = kConfigDigestSeed;  // the fold the compare path replaces
+  u64 full_fold = kFnvSeed;  // the fold the compare path replaces
 #endif
   while (remaining > 0) {
     // Hybrid abort/retarget: a prefetch fetch yields the configuration bus
@@ -818,9 +818,9 @@ Drcf::FetchOutcome Drcf::fetch_context(Context& ctx, usize target,
       digest = image_prefix_digest(*golden, offset);
     }
     if (diverged)
-      for (const bus::word w : buf) digest = config_digest_step(digest, w);
+      for (const bus::word w : buf) digest = fnv1a_step(digest, w);
 #ifdef ADRIATIC_CHECKED
-    for (const bus::word w : buf) full_fold = config_digest_step(full_fold, w);
+    for (const bus::word w : buf) full_fold = fnv1a_step(full_fold, w);
 #endif
     a += static_cast<bus::addr_t>(chunk);
     offset += chunk;

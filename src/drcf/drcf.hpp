@@ -38,6 +38,7 @@
 #include "kernel/port.hpp"
 #include "kernel/signal.hpp"
 #include "memory/paged_store.hpp"
+#include "util/fnv.hpp"
 
 namespace adriatic::drcf {
 
@@ -78,24 +79,12 @@ struct RecoveryConfig {
   u32 scrub_refetches = 1;
 };
 
-/// FNV-1a over the four bytes of one configuration word. config_digest()
-/// folds it over a bitstream: a context's expected digest (equal to
-/// mem::image_digest() of its golden image) and the digest a mismatching
+/// Digest of a bitstream (util/fnv.hpp): a context's expected digest (equal
+/// to mem::image_digest() of its golden image) and the digest a mismatching
 /// fetch reports.
-[[nodiscard]] constexpr u64 config_digest_step(u64 h, bus::word w) noexcept {
-  const u32 v = static_cast<u32>(w);
-  for (u32 shift = 0; shift < 32; shift += 8)
-    h = (h ^ ((v >> shift) & 0xFFu)) * 1099511628211ULL;
-  return h;
-}
-
-inline constexpr u64 kConfigDigestSeed = 14695981039346656037ULL;
-
 [[nodiscard]] constexpr u64 config_digest(
     std::span<const bus::word> words) noexcept {
-  u64 h = kConfigDigestSeed;
-  for (const bus::word w : words) h = config_digest_step(h, w);
-  return h;
+  return fnv1a_words(words);
 }
 
 struct DrcfConfig {

@@ -1,5 +1,7 @@
 #include "drcf/task_state.hpp"
 
+#include "util/fnv.hpp"
+
 namespace adriatic::drcf {
 
 const char* to_string(RestoreError error) {
@@ -24,17 +26,6 @@ const char* to_string(RestoreError error) {
 
 namespace {
 
-// Same byte-serial FNV-1a fold as drcf::config_digest_step (duplicated to
-// keep this translation unit kernel-free).
-constexpr u64 fnv_step(u64 h, i32 w) noexcept {
-  const u32 v = static_cast<u32>(w);
-  for (u32 shift = 0; shift < 32; shift += 8)
-    h = (h ^ ((v >> shift) & 0xFFu)) * 1099511628211ULL;
-  return h;
-}
-
-constexpr u64 kFnvSeed = 14695981039346656037ULL;
-
 constexpr i32 lo_word(u64 v) noexcept {
   return static_cast<i32>(static_cast<u32>(v & 0xFFFFFFFFu));
 }
@@ -48,11 +39,7 @@ constexpr u64 join_words(i32 lo, i32 hi) noexcept {
 
 }  // namespace
 
-u64 TaskState::image_digest() const noexcept {
-  u64 h = kFnvSeed;
-  for (const i32 w : image) h = fnv_step(h, w);
-  return h;
-}
+u64 TaskState::image_digest() const noexcept { return fnv1a_words(image); }
 
 std::vector<i32> TaskState::to_words() const {
   std::vector<i32> words;

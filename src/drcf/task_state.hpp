@@ -47,7 +47,7 @@ struct TaskState {
   u64 progress_cursor = 0; ///< Forwarded accesses completed at checkpoint.
   std::vector<i32> image;  ///< The captured window, window_words long.
 
-  /// FNV-1a over the image words (same byte fold as config_digest), the
+  /// FNV-1a over the image words (util/fnv.hpp, as config_digest), the
   /// end-to-end payload integrity check carried inside the serialized form.
   [[nodiscard]] u64 image_digest() const noexcept;
 
