@@ -317,8 +317,35 @@ void BM_BusTransaction(benchmark::State& state) {
   sim.elaborate();
   for (auto _ : state) sim.run(kern::Time::us(20));  // 1000 transactions
   state.SetItemsProcessed(static_cast<i64>(xfers));
+  state.SetLabel("layer=bus");
 }
 BENCHMARK(BM_BusTransaction);
+
+// Timed 16-word bursts from a loaded memory: one arbitration, one occupancy
+// wait and one slave call per burst. Items are words.
+void BM_BusBurstRead(benchmark::State& state) {
+  kern::Simulation sim;
+  kern::Module top(sim, "top");
+  bus::Bus b(top, "bus");
+  mem::Memory m(top, "ram", 0, 4096);
+  b.bind_slave(m);
+  std::vector<bus::word> image(4096);
+  for (usize i = 0; i < image.size(); ++i) image[i] = static_cast<bus::word>(i);
+  m.load(0, image);
+  u64 words = 0;
+  top.spawn_thread("master", [&] {
+    std::vector<bus::word> buf(16);
+    for (;;) {
+      b.burst_read(static_cast<bus::addr_t>(words % 4096), buf, 0);
+      words += buf.size();
+    }
+  });
+  sim.elaborate();
+  for (auto _ : state) sim.run(kern::Time::us(170));  // 1000 bursts
+  state.SetItemsProcessed(static_cast<i64>(words));
+  state.SetLabel("layer=bus");
+}
+BENCHMARK(BM_BusBurstRead);
 
 void BM_DrcfHitForwarding(benchmark::State& state) {
   drcf::DrcfConfig dc;
