@@ -116,14 +116,6 @@ std::vector<i32> AwgnChannel::transmit(std::span<const i32> samples) {
   return out;
 }
 
-double AwgnChannel::snr_db(i16 amplitude, double sigma) {
-  if (sigma <= 0.0) return 1e9;
-  const double signal = 2.0 * static_cast<double>(amplitude) *
-                        static_cast<double>(amplitude);  // I^2 + Q^2
-  const double noise = 2.0 * sigma * sigma;
-  return 10.0 * std::log10(signal / noise);
-}
-
 std::vector<u8> ofdm_link(std::span<const u8> bits, const OfdmParams& p,
                           AwgnChannel& channel) {
   check_params(p);

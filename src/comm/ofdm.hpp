@@ -43,8 +43,6 @@ class AwgnChannel {
  public:
   AwgnChannel(double sigma, u64 seed = 1) : sigma_(sigma), rng_(seed) {}
   [[nodiscard]] std::vector<i32> transmit(std::span<const i32> samples);
-  /// SNR for a QPSK constellation of the given amplitude.
-  [[nodiscard]] static double snr_db(i16 amplitude, double sigma);
 
  private:
   [[nodiscard]] double gaussian();

@@ -82,10 +82,6 @@ class ContextCache {
     p->snapshot = std::move(state);
     return true;
   }
-  [[nodiscard]] bool has_snapshot(usize ctx) const {
-    const Plane* p = find(ctx);
-    return p != nullptr && p->snapshot.has_value();
-  }
   [[nodiscard]] std::optional<TaskState> take_snapshot(usize ctx) {
     Plane* p = find(ctx);
     if (p == nullptr || !p->snapshot.has_value()) return std::nullopt;

@@ -388,11 +388,6 @@ void Drcf::park_preempt_snapshot(usize victim) {
   parked_snapshots_.insert_or_assign(victim, std::move(*snap));
 }
 
-bool Drcf::has_parked_snapshot(usize ctx) const {
-  return config_cache_.has_snapshot(ctx) ||
-         parked_snapshots_.find(ctx) != parked_snapshots_.end();
-}
-
 std::optional<TaskState> Drcf::take_parked_snapshot(usize ctx) {
   if (auto s = config_cache_.take_snapshot(ctx); s.has_value()) return s;
   const auto it = parked_snapshots_.find(ctx);
@@ -719,8 +714,6 @@ void Drcf::arb_and_instr() {
     ctx.load_pending = false;
     ctx.pending_is_prefetch = false;
     reconfiguring_ = false;
-    if (active_ctx_signal_ != nullptr)
-      active_ctx_signal_->write(static_cast<u32>(target));
 
     ctx.loaded_event->notify();
     any_loaded_event_.notify_delta();
@@ -873,49 +866,6 @@ ContextStats Drcf::context_stats(usize ctx) const {
   if (slot_table_.lookup(ctx).has_value())
     s.active_time += sim().now() - c.residency_start;
   return s;
-}
-
-kern::Signal<u32>& Drcf::trace_active_context() {
-  if (active_ctx_signal_ == nullptr) {
-    active_ctx_signal_owner_ = std::make_unique<kern::Signal<u32>>(
-        *this, "active_context", std::numeric_limits<u32>::max());
-    active_ctx_signal_ = active_ctx_signal_owner_.get();
-  }
-  return *active_ctx_signal_;
-}
-
-void Drcf::reset_stats() {
-  stats_ = DrcfStats{};
-  ledger_.clear();
-  const kern::Time now = sim().now();
-  for (auto& c : contexts_) {
-    c->stats = ContextStats{};
-    if (slot_table_.lookup(static_cast<usize>(&c - contexts_.data()))
-            .has_value())
-      c->residency_start = now;
-  }
-}
-
-double Drcf::total_energy_j(double clock_mhz) const {
-  double active_j = 0.0;
-  for (usize i = 0; i < contexts_.size(); ++i) {
-    const auto s = context_stats(i);
-    const double watts = static_cast<double>(contexts_[i]->params.gates) *
-                         cfg_.technology.uw_per_gate_mhz * clock_mhz * 1e-6;
-    active_j += watts * s.active_time.to_sec();
-  }
-  return active_j + stats_.reconfig_energy_j;
-}
-
-double Drcf::resident_power_mw(double clock_mhz) const {
-  double uw = 0.0;
-  for (u32 slot = 0; slot < slot_table_.slots(); ++slot) {
-    const auto r = slot_table_.resident(slot);
-    if (!r.has_value()) continue;
-    uw += static_cast<double>(contexts_[*r]->params.gates) *
-          cfg_.technology.uw_per_gate_mhz * clock_mhz;
-  }
-  return uw / 1000.0;
 }
 
 }  // namespace adriatic::drcf

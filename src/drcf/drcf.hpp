@@ -209,19 +209,6 @@ class Drcf : public kern::Module, public bus::BusSlaveIf {
     return any_loaded_event_;
   }
 
-  /// Active power of the currently resident contexts at `clock_mhz`, per
-  /// the technology's uW/gate/MHz model.
-  [[nodiscard]] double resident_power_mw(double clock_mhz) const;
-
-  /// Total energy estimate over the simulation so far: reconfiguration
-  /// energy (tracked exactly) plus active energy of resident contexts
-  /// integrated over their residency time at `clock_mhz`.
-  [[nodiscard]] double total_energy_j(double clock_mhz) const;
-
-  /// Exposes the active context index as a traceable signal (VCD-friendly);
-  /// value is the last installed context id. Call before the first switch.
-  [[nodiscard]] kern::Signal<u32>& trace_active_context();
-
   /// Arms the fetch integrity check for a context: every load compares the
   /// fetched words with `image` (the golden bitstream, size_words long) and
   /// fails on the first difference. The expected digest is image->digest(),
@@ -256,13 +243,8 @@ class Drcf : public kern::Module, public bus::BusSlaveIf {
 
   /// Parked preemption snapshots: written by the scheduler when
   /// DrcfConfig::preempt_checkpoint is on and it evicts a quiescent context.
-  [[nodiscard]] bool has_parked_snapshot(usize ctx) const;
   /// Removes and returns the parked snapshot for `ctx`, if any.
   [[nodiscard]] std::optional<TaskState> take_parked_snapshot(usize ctx);
-
-  /// Clears aggregate and per-context statistics (steady-state measurement
-  /// after warm-up). Residency baselines restart at the current time.
-  void reset_stats();
 
  private:
   struct Context {
@@ -406,8 +388,6 @@ class Drcf : public kern::Module, public bus::BusSlaveIf {
   fault::FaultLedger ledger_;
   std::unique_ptr<fault::BusFaultInterposer> fetch_interposer_;
   u64 site_id_ = 0;  ///< sched_name_hash(name()), the ledger site id.
-  std::unique_ptr<kern::Signal<u32>> active_ctx_signal_owner_;
-  kern::Signal<u32>* active_ctx_signal_ = nullptr;
 };
 
 }  // namespace adriatic::drcf

@@ -4,7 +4,6 @@
 #include "drcf/context.hpp"
 #include "drcf/context_cache.hpp"
 #include "drcf/drcf.hpp"
-#include "drcf/power_trace.hpp"
 #include "drcf/prefetch_policy.hpp"
 #include "drcf/slot_table.hpp"
 #include "drcf/technology.hpp"

@@ -124,19 +124,4 @@ u64 FaultLedger::functional_digest() const noexcept {
   return h;
 }
 
-void FaultLedger::to_json(JsonWriter& w) const {
-  w.begin_object();
-  w.field("events", static_cast<u64>(records_.size()));
-  w.field("injected", injected_count());
-  // Per-kind counts, stable order, only kinds that occurred.
-  for (u8 k = 1; k < kFaultEventKindCount; ++k) {
-    const auto kind = static_cast<FaultEventKind>(k);
-    const u64 n = count(kind);
-    if (n > 0) w.field(to_string(kind), n);
-  }
-  w.field("digest", strfmt("%016llx",
-                           static_cast<unsigned long long>(digest())));
-  w.end();
-}
-
 }  // namespace adriatic::fault

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace adriatic::kern {
@@ -30,34 +29,6 @@ std::string DeadlockReport::to_string() const {
     for (const std::string& e : w.awaited) out << ' ' << e;
   }
   return out.str();
-}
-
-void DeadlockReport::to_json(JsonWriter& w) const {
-  w.begin_object();
-  w.field("kind", kern::to_string(kind));
-  w.field("at_ps", at.picoseconds());
-  w.field("delta_count", delta_count);
-  w.field("activations", activations);
-  w.key("waiters").begin_array();
-  for (const BlockedWaiter& bw : waiters) {
-    w.begin_object();
-    w.field("process", bw.process);
-    w.field("process_id", strfmt("%016llx",
-                                 static_cast<unsigned long long>(bw.process_id)));
-    w.field("thread", bw.is_thread);
-    w.field("blocked_since_ps", bw.blocked_since.picoseconds());
-    w.field("wait_duration_ps", bw.wait_duration.picoseconds());
-    w.key("awaited").begin_array();
-    for (const std::string& e : bw.awaited) w.value(e);
-    w.end();
-    w.key("awaited_ids").begin_array();
-    for (u64 id : bw.awaited_ids)
-      w.value(strfmt("%016llx", static_cast<unsigned long long>(id)));
-    w.end();
-    w.end();
-  }
-  w.end();
-  w.end();
 }
 
 }  // namespace adriatic::kern

@@ -14,10 +14,6 @@
 #include "kernel/time.hpp"
 #include "util/types.hpp"
 
-namespace adriatic {
-class JsonWriter;
-}
-
 namespace adriatic::kern {
 
 /// One blocked process in a DeadlockReport.
@@ -47,8 +43,6 @@ struct DeadlockReport {
   std::vector<BlockedWaiter> waiters;
 
   [[nodiscard]] std::string to_string() const;
-  /// Writes the report as a JSON object into `w` (caller owns surroundings).
-  void to_json(JsonWriter& w) const;
 };
 
 [[nodiscard]] const char* to_string(DeadlockReport::Kind kind);

@@ -356,6 +356,4 @@ void Fiber::yield() {
   t_current = self;
 }
 
-bool Fiber::in_fiber() noexcept { return t_current != nullptr; }
-
 }  // namespace adriatic::kern

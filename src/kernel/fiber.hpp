@@ -35,9 +35,6 @@ class Fiber {
   /// True once `fn` has returned.
   [[nodiscard]] bool finished() const noexcept { return finished_; }
 
-  /// True when any fiber is currently executing on this thread.
-  [[nodiscard]] static bool in_fiber() noexcept;
-
  private:
   struct Impl;
   static void trampoline();

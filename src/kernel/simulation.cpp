@@ -492,11 +492,6 @@ bool Simulation::wait_in_place(Process& p, Time t) {
   return true;
 }
 
-bool Simulation::pending_activity() const noexcept {
-  return !runnable_.empty() || !delta_queue_.empty() ||
-         !timed_queue_.empty() || !pending_dynamic_.empty();
-}
-
 // ---------------------------------------------------------------------------
 // Free wait functions
 

@@ -99,7 +99,6 @@ class Simulation {
   [[nodiscard]] u64 loose_syncs() const noexcept { return loose_syncs_; }
   /// Kernel-internal: counted by ThreadProcess when it synchronises.
   void note_loose_sync() noexcept { ++loose_syncs_; }
-  [[nodiscard]] bool pending_activity() const noexcept;
   /// Current timed-queue length including not-yet-compacted stale entries;
   /// exposed so tests can pin the compaction policy.
   [[nodiscard]] usize timed_queue_size() const noexcept {

@@ -183,23 +183,4 @@ usize Memory::scrub_now() {
   return repaired;
 }
 
-Rom::Rom(kern::Object& parent, std::string name, bus::addr_t low,
-         std::span<const bus::word> contents, kern::Time read_latency)
-    : Memory(parent, std::move(name), low,
-             contents.empty() ? 1 : contents.size(), read_latency) {
-  if (!contents.empty())
-    attach_image(ImageRegistry::instance().intern(contents), low);
-}
-
-bool Rom::write(bus::addr_t /*add*/, bus::word* /*data*/) {
-  ++stats_.errors;
-  return false;
-}
-
-bool Rom::get_dmi(bus::addr_t add, bus::DmiRegion* out) {
-  if (!Memory::get_dmi(add, out)) return false;
-  out->allow_write = false;
-  return true;
-}
-
 }  // namespace adriatic::mem

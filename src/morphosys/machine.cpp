@@ -36,8 +36,6 @@ Machine::Machine(MachineConfig cfg)
       mem_(cfg.main_memory_words, 0),
       fb_(cfg.frame_buffer_words) {}
 
-void Machine::mem_write(usize addr, i32 v) { mem_.at(addr) = v; }
-
 i32 Machine::mem_read(usize addr) const { return mem_.at(addr); }
 
 void Machine::mem_load(usize addr, std::span<const i32> data) {

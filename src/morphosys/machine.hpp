@@ -59,7 +59,6 @@ class Machine {
   explicit Machine(MachineConfig cfg = {});
 
   // Main-memory backdoor (program/data loading and result checks).
-  void mem_write(usize addr, i32 v);
   [[nodiscard]] i32 mem_read(usize addr) const;
   void mem_load(usize addr, std::span<const i32> data);
 

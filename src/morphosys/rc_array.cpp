@@ -13,12 +13,6 @@ namespace {
 }
 }  // namespace
 
-void RcArray::reset() {
-  cells_.fill(Cell{});
-  cycles_ = 0;
-  active_ops_ = 0;
-}
-
 i16 RcArray::operand(const Cell& c, MuxSel sel, i16 imm, usize row, usize col,
                      const FrameBuffer& fb, usize fb_base, usize step_index,
                      const std::array<i16, kArrayCells>& prev) const {

@@ -55,8 +55,6 @@ class RcArray {
     return cells_[row * kArrayDim + col];
   }
 
-  void reset();
-
   [[nodiscard]] u64 cycles_executed() const noexcept { return cycles_; }
   /// Non-NOP cell-operations executed (utilization numerator).
   [[nodiscard]] u64 active_cell_ops() const noexcept { return active_ops_; }

@@ -13,12 +13,6 @@ void Design::add(const std::string& name, Decl decl) {
   order_.push_back(name);
 }
 
-void Design::remove(const std::string& name) {
-  if (decls_.erase(name) == 0)
-    throw std::out_of_range("Design: no component " + name);
-  std::erase(order_, name);
-}
-
 const Decl& Design::at(const std::string& name) const {
   auto it = decls_.find(name);
   if (it == decls_.end())

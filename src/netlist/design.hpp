@@ -119,7 +119,6 @@ class Design {
  public:
   /// Adds a component; throws on duplicate names.
   void add(const std::string& name, Decl decl);
-  void remove(const std::string& name);
 
   [[nodiscard]] bool contains(const std::string& name) const {
     return decls_.count(name) != 0;

@@ -2,7 +2,6 @@
 
 #include <ostream>
 
-#include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -82,74 +81,6 @@ void SystemReport::print(std::ostream& os) const {
 
   for (const Table* t : {&buses, &mems, &accs, &cpus, &drcfs})
     if (t->rows() > 0) t->print(os);
-}
-
-std::string SystemReport::to_json() const {
-  JsonWriter w;
-  w.begin_object();
-  w.field("sim_time_ns", system_->top().sim().now().to_ns());
-  w.key("components");
-  w.begin_array();
-  for (const auto& name : design_->names()) {
-    const Decl& d = design_->at(name);
-    if (std::holds_alternative<BusDecl>(d)) {
-      const auto& b = system_->get_bus(name);
-      w.begin_object();
-      w.field("name", name).field("kind", "bus");
-      w.field("reads", b.stats().reads).field("writes", b.stats().writes);
-      w.field("beats", b.stats().beats);
-      w.field("utilization", b.utilization());
-      w.end();
-    } else if (std::holds_alternative<MemoryDecl>(d)) {
-      const auto& m = system_->get_memory(name);
-      w.begin_object();
-      w.field("name", name).field("kind", "memory");
-      w.field("reads", m.stats().reads).field("writes", m.stats().writes);
-      w.end();
-    } else if (std::holds_alternative<HwAccelDecl>(d)) {
-      const auto& a = system_->get_hwacc(name);
-      w.begin_object();
-      w.field("name", name).field("kind", "hwacc");
-      w.field("kernel", a.spec().name);
-      w.field("invocations", a.stats().invocations);
-      w.field("compute_time_ns", a.stats().compute_time.to_ns());
-      w.end();
-    } else if (std::holds_alternative<ProcessorDecl>(d)) {
-      const auto& p = system_->get_processor(name);
-      w.begin_object();
-      w.field("name", name).field("kind", "processor");
-      w.field("instructions", p.stats().instructions);
-      w.field("finished", p.finished());
-      w.end();
-    } else if (std::holds_alternative<DrcfDecl>(d)) {
-      const auto& f = system_->get_drcf(name);
-      w.begin_object();
-      w.field("name", name).field("kind", "drcf");
-      w.field("switches", f.stats().switches);
-      w.field("hits", f.stats().hits);
-      w.field("misses", f.stats().misses);
-      w.field("config_words_fetched", f.stats().config_words_fetched);
-      w.field("reconfig_time_ns", f.stats().reconfig_busy_time.to_ns());
-      w.field("reconfig_energy_j", f.stats().reconfig_energy_j);
-      w.key("contexts");
-      w.begin_array();
-      for (usize i = 0; i < f.context_count(); ++i) {
-        const auto cs = f.context_stats(i);
-        w.begin_object();
-        w.field("index", static_cast<u64>(i));
-        w.field("activations", cs.activations);
-        w.field("accesses", cs.accesses);
-        w.field("active_time_ns", cs.active_time.to_ns());
-        w.field("reconfig_time_ns", cs.reconfig_time.to_ns());
-        w.end();
-      }
-      w.end();
-      w.end();
-    }
-  }
-  w.end();
-  w.end();
-  return w.str();
 }
 
 }  // namespace adriatic::netlist

@@ -18,9 +18,6 @@ class SystemReport {
   /// Aligned-table dump of all component statistics.
   void print(std::ostream& os) const;
 
-  /// JSON export: {"sim_time_ns": ..., "components": [{...}, ...]}.
-  [[nodiscard]] std::string to_json() const;
-
  private:
   const Design* design_;
   const Elaborated* system_;

@@ -446,22 +446,10 @@ void CampaignServer::stop() {
 
 int CampaignServer::serve() {
   if (!start()) return 2;
-  {
-    std::unique_lock<std::mutex> lk(smu_);
-    while (!shutdown_requested_ && !campaign::signal_stop_requested())
-      scv_.wait_for(lk, std::chrono::milliseconds(100));
-  }
-  const bool signalled = campaign::signal_stop_requested();
+  while (!campaign::signal_stop_requested())
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
   stop();
-  return signalled ? 130 : 0;
-}
-
-void CampaignServer::request_shutdown() {
-  {
-    std::lock_guard<std::mutex> lk(smu_);
-    shutdown_requested_ = true;
-  }
-  scv_.notify_all();
+  return 130;
 }
 
 ServerCounters CampaignServer::counters() const {

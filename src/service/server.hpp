@@ -86,14 +86,11 @@ class CampaignServer {
   /// connection and remove the socket. Idempotent.
   void stop();
 
-  /// start() + block until request_shutdown() or a SIGINT/SIGTERM stop
+  /// start() + block until a SIGINT/SIGTERM stop
   /// (campaign::install_stop_signal_handlers must be installed by the
-  /// caller), then stop(). Returns 0 on a requested shutdown, 130 on a
-  /// signal stop, 2 when start() fails.
+  /// caller), then stop(). Returns 130 after the stop, 2 when start()
+  /// fails.
   int serve();
-
-  /// Unblocks serve() for a clean exit (tests, DRAIN-then-quit tooling).
-  void request_shutdown();
 
   [[nodiscard]] ServerCounters counters() const;
   [[nodiscard]] const std::string& socket_path() const noexcept {
@@ -166,10 +163,6 @@ class CampaignServer {
 
   std::mutex cmu_;  ///< Guards conns_.
   std::vector<std::shared_ptr<Connection>> conns_;
-
-  std::mutex smu_;  ///< serve() wakeup.
-  std::condition_variable scv_;
-  bool shutdown_requested_ = false;
 };
 
 }  // namespace adriatic::service

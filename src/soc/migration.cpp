@@ -5,7 +5,6 @@
 
 #include "kernel/sched_trace.hpp"
 #include "kernel/simulation.hpp"
-#include "morphosys/kernels.hpp"
 #include "util/log.hpp"
 
 namespace adriatic::soc {
@@ -22,8 +21,6 @@ const char* to_string(MigrationStatus status) {
       return "integrity_error";
     case MigrationStatus::kRestoreRejected:
       return "restore_rejected";
-    case MigrationStatus::kKernelFailed:
-      return "kernel_failed";
   }
   return "?";
 }
@@ -195,134 +192,6 @@ MigrationResult MigrationController::migrate_state(
   }
   ++stats_.restores;
   ++stats_.migrations;
-  return res;
-}
-
-MigrationResult MigrationController::migrate_to_morphosys(
-    drcf::Drcf& src, usize src_ctx, const MorphosysHandoff& handoff) {
-  MigrationResult res;
-  if (handoff.machine == nullptr || handoff.contexts.empty()) {
-    res.status = MigrationStatus::kKernelFailed;
-    ++stats_.failed_migrations;
-    return res;
-  }
-  auto snap = src.checkpoint_task(src_ctx);
-  if (!snap.has_value()) {
-    res.status = MigrationStatus::kCheckpointRefused;
-    ++stats_.failed_migrations;
-    ledger_.append(fault::FaultEventKind::kMigrateError,
-                   sim().now().picoseconds(), site_id_, 0,
-                   static_cast<u64>(src_ctx));
-    return res;
-  }
-  ++stats_.checkpoints;
-
-  // The handed-off state still crosses the bus: push the serialized
-  // snapshot to the staging buffer (the transfer cost of leaving the DRCF
-  // domain), then interpret its register window to find the task's data.
-  bus::BusMasterIf& master = transfer_master();
-  const u32 burst = std::max<u32>(cfg_.burst, 1);
-  const std::vector<bus::word> words = snap->to_words();
-  u64 moved = 0;
-  for (usize off = 0; off < words.size(); off += burst) {
-    const usize chunk = std::min<usize>(burst, words.size() - off);
-    const auto st = master.burst_write(
-        cfg_.staging_base + static_cast<bus::addr_t>(off),
-        std::span<const bus::word>(words.data() + off, chunk), cfg_.priority);
-    if (st != bus::BusStatus::kOk) {
-      ledger_.append(fault::FaultEventKind::kFetchError,
-                     sim().now().picoseconds(), site_id_,
-                     cfg_.staging_base + static_cast<bus::addr_t>(off),
-                     static_cast<u64>(st));
-      res.status = MigrationStatus::kTransferError;
-      res.words_moved = moved;
-      stats_.state_words_moved += moved;
-      ++stats_.failed_migrations;
-      return res;
-    }
-    moved += chunk;
-  }
-
-  // HwAccel register-map contract (soc/hwacc.hpp): SRC/DST/LEN live at word
-  // offsets 2/3/4 of the window. That is what makes a checkpointed
-  // accelerator task interpretable by a foreign fabric.
-  if (snap->window_words < 5) {
-    res.status = MigrationStatus::kRestoreRejected;
-    res.restore_error = drcf::RestoreError::kGeometryMismatch;
-    res.words_moved = moved;
-    stats_.state_words_moved += moved;
-    ++stats_.failed_migrations;
-    ledger_.append(fault::FaultEventKind::kMigrateError,
-                   sim().now().picoseconds(), site_id_, cfg_.staging_base,
-                   static_cast<u64>(res.restore_error));
-    return res;
-  }
-  const auto data_src = static_cast<bus::addr_t>(snap->image[2]);
-  const auto data_dst = static_cast<bus::addr_t>(snap->image[3]);
-  const auto n_words = static_cast<usize>(static_cast<u32>(snap->image[4]));
-
-  // Stream the task's input from system memory into the machine.
-  std::vector<bus::word> data(n_words, 0);
-  for (usize off = 0; off < n_words; off += burst) {
-    const usize chunk = std::min<usize>(burst, n_words - off);
-    const auto st = master.burst_read(
-        data_src + static_cast<bus::addr_t>(off),
-        std::span<bus::word>(data.data() + off, chunk), cfg_.priority);
-    if (st != bus::BusStatus::kOk) {
-      ledger_.append(fault::FaultEventKind::kFetchError,
-                     sim().now().picoseconds(), site_id_,
-                     data_src + static_cast<bus::addr_t>(off),
-                     static_cast<u64>(st));
-      res.status = MigrationStatus::kTransferError;
-      res.words_moved = moved;
-      stats_.state_words_moved += moved;
-      ++stats_.failed_migrations;
-      return res;
-    }
-    moved += chunk;
-  }
-  handoff.machine->mem_load(handoff.machine_src, data);
-
-  const bool halted = morphosys::run_tile_kernel(
-      *handoff.machine, handoff.contexts, handoff.machine_src,
-      handoff.machine_dst, n_words, handoff.ctx_image_addr, handoff.plane,
-      handoff.max_cycles);
-  if (!halted) {
-    res.status = MigrationStatus::kKernelFailed;
-    res.words_moved = moved;
-    stats_.state_words_moved += moved;
-    ++stats_.failed_migrations;
-    ledger_.append(fault::FaultEventKind::kMigrateError,
-                   sim().now().picoseconds(), site_id_, data_src,
-                   static_cast<u64>(res.status));
-    return res;
-  }
-
-  // Stream the results back to the task's own destination address.
-  std::vector<bus::word> out(n_words, 0);
-  for (usize i = 0; i < n_words; ++i)
-    out[i] = handoff.machine->mem_read(handoff.machine_dst + i);
-  for (usize off = 0; off < n_words; off += burst) {
-    const usize chunk = std::min<usize>(burst, n_words - off);
-    const auto st = master.burst_write(
-        data_dst + static_cast<bus::addr_t>(off),
-        std::span<const bus::word>(out.data() + off, chunk), cfg_.priority);
-    if (st != bus::BusStatus::kOk) {
-      ledger_.append(fault::FaultEventKind::kFetchError,
-                     sim().now().picoseconds(), site_id_,
-                     data_dst + static_cast<bus::addr_t>(off),
-                     static_cast<u64>(st));
-      res.status = MigrationStatus::kTransferError;
-      res.words_moved = moved;
-      stats_.state_words_moved += moved;
-      ++stats_.failed_migrations;
-      return res;
-    }
-    moved += chunk;
-  }
-  res.words_moved = moved;
-  stats_.state_words_moved += moved;
-  ++stats_.morphosys_handoffs;
   return res;
 }
 

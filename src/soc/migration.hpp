@@ -1,6 +1,5 @@
 // MigrationController: moves a checkpointed hardware task between two DRCF
-// instances — or hands it off to a MorphoSys machine when the context has a
-// kernel equivalent there — using real bus traffic for the state transfer
+// instances, using real bus traffic for the state transfer
 // (Wicaksana et al.'s heterogeneous context-switch method on top of the
 // paper's DRCF model).
 //
@@ -26,8 +25,6 @@
 #include "fault/plan.hpp"
 #include "kernel/module.hpp"
 #include "kernel/port.hpp"
-#include "morphosys/isa.hpp"
-#include "morphosys/machine.hpp"
 
 namespace adriatic::soc {
 
@@ -54,7 +51,6 @@ struct MigrationStats {
   u64 transfer_faults_recovered = 0;  ///< Transfers that succeeded after
                                       ///  at least one failed attempt.
   u64 failed_migrations = 0; ///< Migrations that failed terminally.
-  u64 morphosys_handoffs = 0;  ///< Tasks handed off to a MorphoSys machine.
 };
 
 enum class MigrationStatus : u8 {
@@ -63,7 +59,6 @@ enum class MigrationStatus : u8 {
   kTransferError = 2,      ///< Bus push/pull failed after recovery.
   kIntegrityError = 3,     ///< Pulled image failed its check after recovery.
   kRestoreRejected = 4,    ///< Destination fabric rejected the restore.
-  kKernelFailed = 5,       ///< MorphoSys kernel did not complete.
 };
 
 [[nodiscard]] const char* to_string(MigrationStatus status);
@@ -75,21 +70,6 @@ struct MigrationResult {
   [[nodiscard]] bool ok() const noexcept {
     return status == MigrationStatus::kOk;
   }
-};
-
-/// Describes the MorphoSys equivalent of a DRCF context: the kernel's
-/// context program plus where the handed-off task reads its input and
-/// writes its output. The controller interprets the checkpointed HwAccel
-/// register window (SRC/DST/LEN at word offsets 2/3/4 — the hwacc.hpp
-/// register-map contract) to find the task's data.
-struct MorphosysHandoff {
-  morphosys::Machine* machine = nullptr;
-  std::vector<morphosys::Context> contexts;  ///< The kernel equivalent.
-  usize machine_src = 0x1000;       ///< Input staging in machine memory.
-  usize machine_dst = 0x2000;       ///< Output staging in machine memory.
-  usize ctx_image_addr = 0x6000;    ///< Context images in machine memory.
-  usize plane = 0;
-  u64 max_cycles = 10'000'000;
 };
 
 class MigrationController : public kern::Module {
@@ -111,14 +91,6 @@ class MigrationController : public kern::Module {
   /// scheduler parked at preemption, via Drcf::take_parked_snapshot).
   MigrationResult migrate_state(const drcf::TaskState& state, drcf::Drcf& dst,
                                 usize dst_ctx);
-
-  /// Heterogeneous handoff: checkpoint `src_ctx`, push its state over the
-  /// bus, then run the context's MorphoSys kernel equivalent over the data
-  /// the checkpointed registers point at — input is burst-read from system
-  /// memory, results are burst-written back to the task's destination
-  /// address. The DRCF-side task is consumed, not resumed.
-  MigrationResult migrate_to_morphosys(drcf::Drcf& src, usize src_ctx,
-                                       const MorphosysHandoff& handoff);
 
   [[nodiscard]] const MigrationStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const MigrationConfig& config() const noexcept { return cfg_; }

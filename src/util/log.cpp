@@ -29,8 +29,6 @@ const char* level_tag(Level level) {
 
 void set_level(Level level) { g_level = level; }
 
-Level level() { return g_level; }
-
 void set_sink(Sink sink) {
   std::lock_guard<std::mutex> lock(g_mutex);
   g_sink = std::move(sink);

@@ -12,7 +12,6 @@ enum class Level { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 /// Global threshold; messages below it are dropped.
 void set_level(Level level);
-[[nodiscard]] Level level();
 
 /// Redirect log output (default writes to stderr). Pass nullptr to restore.
 using Sink = std::function<void(Level, const std::string&)>;

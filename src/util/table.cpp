@@ -62,16 +62,4 @@ void Table::print(std::ostream& os) const {
   rule();
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i) os << ',';
-      os << cells[i];
-    }
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
-}
-
 }  // namespace adriatic

@@ -31,8 +31,6 @@ class Table {
 
   /// Pretty-print with aligned columns and box rules.
   void print(std::ostream& os) const;
-  /// Comma-separated form (no title line).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::string title_;

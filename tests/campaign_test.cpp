@@ -1118,23 +1118,37 @@ TEST(CampaignTest, WorkerDeathsLandInJournalAndReport) {
 // -- Child reuse across a backlog of kind jobs -------------------------------
 
 /// Which child ran each job slot, written by the children themselves into
-/// memory shared with the test (mapped before any fork).
+/// memory shared with the test (mapped before any fork). The word after the
+/// slots is a release gate: a gated job waits on it, so the jobs the test
+/// submits after it form a backlog before the first job finishes. (Shared
+/// memory, not a pipe: a child closes every descriptor it inherits.)
 class PidLog {
  public:
   static constexpr usize kSlots = 256;
   PidLog() {
-    void* p = ::mmap(nullptr, sizeof(int) * kSlots, PROT_READ | PROT_WRITE,
+    void* p = ::mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
     if (p == MAP_FAILED) throw std::runtime_error("mmap failed");
     pids_ = static_cast<int*>(p);
   }
-  ~PidLog() { ::munmap(pids_, sizeof(int) * kSlots); }
+  ~PidLog() { ::munmap(pids_, kBytes); }
   PidLog(const PidLog&) = delete;
   PidLog& operator=(const PidLog&) = delete;
   void note(usize slot) { pids_[slot] = static_cast<int>(::getpid()); }
   [[nodiscard]] int operator[](usize slot) const { return pids_[slot]; }
 
+  /// Opens the gate; call after the last submit.
+  void release() { gate().store(1); }
+  /// Waits until release(), polling for at most about 10 s.
+  void await_release() {
+    for (int i = 0; i < 10'000 && gate().load() == 0; ++i) ::usleep(1000);
+  }
+
  private:
+  static constexpr usize kBytes = sizeof(int) * (kSlots + 1);
+  [[nodiscard]] std::atomic_ref<int> gate() {
+    return std::atomic_ref<int>(pids_[kSlots]);
+  }
   int* pids_ = nullptr;
 };
 
@@ -1157,19 +1171,20 @@ std::string open_fds() {
 }
 
 /// A two-kind registry: "pid" notes the running child in slot <params>,
-/// "fds" also lists the child's open descriptors in user_data.
+/// "fds" also lists the child's open descriptors in user_data. The prefix
+/// "gated-" makes a job wait for PidLog::release() first.
 KindResolver test_kinds(PidLog& log) {
   return [&log](const JobKind& kind,
                 const std::string&) -> std::function<void(JobContext&)> {
     const usize slot = std::stoul(kind.params);
-    if (kind.name == "pid")
-      return [&log, slot](JobContext&) { log.note(slot); };
-    if (kind.name == "fds")
-      return [&log, slot](JobContext& ctx) {
-        log.note(slot);
-        ctx.record_user_data(open_fds());
-      };
-    return {};
+    const bool gated = kind.name.starts_with("gated-");
+    const std::string name = kind.name.substr(gated ? 6 : 0);
+    if (name != "pid" && name != "fds") return {};
+    return [&log, slot, gated, fds = name == "fds"](JobContext& ctx) {
+      if (gated) log.await_release();
+      log.note(slot);
+      if (fds) ctx.record_user_data(open_fds());
+    };
   };
 }
 
@@ -1190,7 +1205,9 @@ TEST(ChildReuseTest, KindJobsOfABacklogShareOneChild) {
   const KindResolver kinds = test_kinds(log);
   CampaignRunner runner(1, ExecutionMode::kProcesses);
   runner.set_kind_resolver(kinds);
-  for (usize i = 0; i < 6; ++i) (void)submit_test_kind(runner, kinds, i);
+  (void)submit_test_kind(runner, kinds, 0, {}, "gated-pid");
+  for (usize i = 1; i < 6; ++i) (void)submit_test_kind(runner, kinds, i);
+  log.release();
   runner.wait_idle();
   for (const JobStats& s : runner.stats()) EXPECT_TRUE(s.done) << s.label;
   for (usize i = 1; i < 6; ++i) EXPECT_EQ(log[i], log[0]) << i;
@@ -1237,8 +1254,10 @@ TEST(ChildReuseTest, ChildIsReplacedAfterItsJobLimit) {
   CampaignRunner runner(1, ExecutionMode::kProcesses);
   runner.set_kind_resolver(kinds);
   static_assert(kJobsPerChild + 2 <= PidLog::kSlots);
-  for (usize i = 0; i < kJobsPerChild + 2; ++i)
+  (void)submit_test_kind(runner, kinds, 0, {}, "gated-pid");
+  for (usize i = 1; i < kJobsPerChild + 2; ++i)
     (void)submit_test_kind(runner, kinds, i);
+  log.release();
   runner.wait_idle();
   for (usize i = 1; i < kJobsPerChild; ++i) ASSERT_EQ(log[i], log[0]) << i;
   EXPECT_NE(log[kJobsPerChild], log[0]);
@@ -1287,11 +1306,12 @@ TEST(ChildReuseTest, ChildFailuresKeepVerdictsThroughTheKindPath) {
   exits.debug_exit_code = 42;
   const JobOptions failing[] = {segv, hang, silent, exits};
   usize slot = 0;
-  (void)submit_test_kind(runner, kinds, slot++);
+  (void)submit_test_kind(runner, kinds, slot++, {}, "gated-pid");
   for (const JobOptions& opt : failing) {
     (void)submit_test_kind(runner, kinds, slot++, opt);
     (void)submit_test_kind(runner, kinds, slot++);
   }
+  log.release();
   runner.wait_idle();
   const auto stats = runner.stats();
   ASSERT_EQ(stats.size(), slot);
@@ -1323,8 +1343,12 @@ TEST(ChildReuseTest, ChildClosesInheritedDescriptors) {
   const KindResolver kinds = test_kinds(log);
   CampaignRunner runner(2, ExecutionMode::kProcesses);
   runner.set_kind_resolver(kinds);
+  // Both workers' first jobs wait at the gate, so each worker finds the
+  // rest queued when its first job ends.
   for (usize i = 0; i < 6; ++i)
-    (void)submit_test_kind(runner, kinds, i, JobOptions{}, "fds");
+    (void)submit_test_kind(runner, kinds, i, JobOptions{},
+                           i < 2 ? "gated-fds" : "fds");
+  log.release();
   runner.wait_idle();
   const auto stats = runner.stats();
   bool reused = false;

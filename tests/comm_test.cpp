@@ -195,11 +195,6 @@ TEST(Ofdm, ParameterValidation) {
                std::invalid_argument);
 }
 
-TEST(Ofdm, AwgnSnrModel) {
-  EXPECT_NEAR(AwgnChannel::snr_db(8192, 8192.0), 0.0, 1e-9);
-  EXPECT_NEAR(AwgnChannel::snr_db(8192, 819.2), 20.0, 1e-9);
-}
-
 TEST(Ofdm, LinkCleanAtHighSnrErroredAtLowSnr) {
   OfdmParams p;
   Xoshiro256 rng(77);

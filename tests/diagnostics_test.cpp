@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "kernel/kernel.hpp"
-#include "util/json.hpp"
 
 namespace adriatic::kern {
 namespace {
@@ -230,13 +229,6 @@ TEST(DeadlockReportTest, ToStringAndJsonCarryTheDiagnosis) {
   EXPECT_NE(text.find("deadlock"), std::string::npos);
   EXPECT_NE(text.find("top.initiator"), std::string::npos);
   EXPECT_NE(text.find("missing_ack"), std::string::npos);
-
-  JsonWriter w;
-  r.to_json(w);
-  const std::string json = w.str();
-  EXPECT_TRUE(w.balanced());
-  EXPECT_NE(json.find("\"kind\":\"deadlock\""), std::string::npos);
-  EXPECT_NE(json.find("top.initiator"), std::string::npos);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // suspension semantics, instrumentation, and the Sec. 5.4 deadlock case.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "bus/bus_lib.hpp"
@@ -422,18 +421,6 @@ TEST(DrcfTest, WritesForwardToActiveContext) {
   EXPECT_EQ(f.slave_a.writes_, 0u);
 }
 
-TEST(DrcfTest, ResidentPowerModel) {
-  DrcfFixture f;
-  f.top.spawn_thread("master", [&] {
-    bus::word r = 0;
-    f.sys_bus.read(0x100, &r);
-  });
-  f.sim.run();
-  // 10k gates * 0.075 uW/gate/MHz * 100 MHz = 75 mW.
-  EXPECT_NEAR(f.drcf.resident_power_mw(100.0), 75.0, 1e-9);
-  EXPECT_THROW(f.drcf.prefetch(99), std::out_of_range);
-}
-
 TEST(DrcfTest, FailedConfigFetchFailsCallNotDeadlocks) {
   // Context whose bitstream address decodes to nothing: the fetch fails, the
   // suspended caller's transaction errors out, the simulation stays live.
@@ -479,93 +466,6 @@ TEST(DrcfTest, AnalyticalModeGeneratesNoBusTraffic) {
   EXPECT_EQ(f.drcf.stats().switches, 1u);
   // 1 us analytical delay + the master's own 20 ns bus transaction.
   EXPECT_EQ(elapsed, 1_us + 20_ns);
-}
-
-TEST(DrcfTest, ActiveContextTraceSignal) {
-  DrcfFixture f;
-  auto& sig = f.drcf.trace_active_context();
-  std::vector<u32> history;
-  kern::SpawnOptions opts;
-  opts.sensitivity = {&sig.value_changed_event()};
-  opts.dont_initialize = true;
-  f.top.spawn_method("observer", [&] { history.push_back(sig.read()); },
-                     opts);
-  f.top.spawn_thread("master", [&] {
-    bus::word r = 0;
-    f.sys_bus.read(0x100, &r);  // -> ctx 0
-    f.sys_bus.read(0x200, &r);  // -> ctx 1
-    f.sys_bus.read(0x100, &r);  // -> ctx 0 again
-  });
-  f.sim.run();
-  EXPECT_EQ(history, (std::vector<u32>{0, 1, 0}));
-}
-
-TEST(DrcfTest, ResetStatsClearsCounters) {
-  DrcfFixture f;
-  f.top.spawn_thread("master", [&] {
-    bus::word r = 0;
-    f.sys_bus.read(0x100, &r);
-    f.sys_bus.read(0x200, &r);
-  });
-  f.sim.run();
-  EXPECT_EQ(f.drcf.stats().switches, 2u);
-  f.drcf.reset_stats();
-  EXPECT_EQ(f.drcf.stats().switches, 0u);
-  EXPECT_EQ(f.drcf.context_stats(f.ctx_a).accesses, 0u);
-  // Residency restarts at now: active time is zero right after reset.
-  EXPECT_EQ(f.drcf.context_stats(f.ctx_b).active_time, kern::Time::zero());
-}
-
-TEST(DrcfTest, TotalEnergyCombinesActiveAndReconfig) {
-  DrcfFixture f;
-  f.top.spawn_thread("master", [&] {
-    bus::word r = 0;
-    f.sys_bus.read(0x100, &r);
-    kern::wait(100_us);  // accumulate active energy
-  });
-  f.sim.run();
-  const double reconfig_j = f.drcf.stats().reconfig_energy_j;
-  EXPECT_GT(reconfig_j, 0.0);
-  const double total_j = f.drcf.total_energy_j(100.0);
-  // Active: 10k gates * 0.075 uW/gate/MHz * 100 MHz = 75 mW over ~100 us
-  // of residency = ~7.5 uJ, on top of the reconfiguration energy.
-  EXPECT_GT(total_j, reconfig_j);
-  EXPECT_NEAR(total_j - reconfig_j, 7.5e-6, 1.0e-6);
-}
-
-TEST(PowerTracerTest, ProfilesActiveAndReconfigPower) {
-  DrcfFixture f;
-  PowerTracer tracer(f.top, "ptrace", f.drcf, /*clock_mhz=*/100.0,
-                     /*interval=*/200_ns, /*window=*/20_us);
-  f.top.spawn_thread("master", [&] {
-    bus::word r = 0;
-    f.sys_bus.read(0x100, &r);  // switch -> reconfig power visible
-    kern::wait(5_us);           // resident -> active power visible
-    f.sys_bus.read(0x200, &r);  // second switch
-    kern::wait(5_us);
-  });
-  f.sim.run();
-  ASSERT_GT(tracer.samples().size(), 50u);
-  // 10k gates * 0.075 uW/gate/MHz * 100 MHz = 75 mW active plateau.
-  bool saw_active = false, saw_reconfig = false, saw_idle = false;
-  for (const auto& s : tracer.samples()) {
-    if (s.active_mw > 70.0) saw_active = true;
-    if (s.reconfig_mw > 0.0) saw_reconfig = true;
-    if (s.total_mw() == 0.0) saw_idle = true;
-  }
-  EXPECT_TRUE(saw_active);
-  EXPECT_TRUE(saw_reconfig);
-  EXPECT_TRUE(saw_idle);  // before the first switch the fabric is empty
-  EXPECT_GT(tracer.peak_mw(), 75.0);
-  EXPECT_GT(tracer.mean_mw(), 0.0);
-  EXPECT_GT(tracer.energy_mj(), 0.0);
-  std::ostringstream os;
-  tracer.write_csv(os);
-  EXPECT_NE(os.str().find("time_us,active_mw,reconfig_mw"),
-            std::string::npos);
-  EXPECT_THROW(
-      PowerTracer(f.top, "bad", f.drcf, 100.0, kern::Time::zero()),
-      std::invalid_argument);
 }
 
 // Property test: under any access pattern, the live DRCF's switch count and

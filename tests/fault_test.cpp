@@ -1,6 +1,6 @@
-// Failure-injection tests: the faulty memory model and end-to-end fault
-// observability — corrupted inter-stage buffers must be caught by the CRC
-// stage, with or without the DRCF in the path.
+// Failure-injection tests: read-path upsets through the ECC model and
+// end-to-end fault observability — corrupted inter-stage buffers must be
+// caught by the CRC stage, with or without the DRCF in the path.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -13,7 +13,6 @@
 #include "fault/interposer.hpp"
 #include "fault/plan.hpp"
 #include "kernel/kernel.hpp"
-#include "memory/faulty_memory.hpp"
 #include "memory/memory.hpp"
 #include "soc/soc_lib.hpp"
 
@@ -23,10 +22,45 @@ namespace {
 using namespace kern::literals;
 using bus::BusStatus;
 
+// Read-path soft errors as an ECC-model preset: each read draws an upset
+// with probability `rate` that flips `bits` distinct bits of the delivered
+// word (transient: the store stays clean). Without `correct`, every upset is
+// delivered as data, so downstream integrity checks (a CRC stage, config
+// digests) are what must catch it.
+struct ReadUpsets {
+  double rate = 0.0;
+  u32 bits = 1;
+  u64 seed = 0xFA017;
+  bus::addr_t window_low = 0;  ///< 0,0 = everywhere.
+  bus::addr_t window_high = 0;
+  bool correct = false;
+};
+
+mem::EccConfig read_upsets(const ReadUpsets& u) {
+  mem::EccConfig cfg;
+  cfg.upsets.seed = u.seed;
+  fault::FaultRule rule;
+  rule.rate = u.rate;
+  rule.kind = fault::FaultKind::kCorrupt;
+  rule.corrupt_bits = u.bits;
+  rule.window_low = u.window_low;
+  rule.window_high = u.window_high;
+  rule.reads_only = true;
+  cfg.upsets.rules.push_back(rule);
+  cfg.correct_single = u.correct;
+  cfg.storage_upsets = false;
+  cfg.repair_on_detect = false;
+  cfg.signal_uncorrectable = false;
+  return cfg;
+}
+
+u64 upsets(const mem::Memory& m) { return m.ecc()->stats().upsets; }
+
 TEST(FaultyMemory, NoErrorsAtZeroRate) {
   kern::Simulation sim;
   kern::Module top(sim, "top");
-  mem::FaultyMemory m(top, "fm", 0, 64, {.read_error_rate = 0.0});
+  mem::Memory m(top, "fm", 0, 64);
+  m.set_ecc(read_upsets({.rate = 0.0}));
   top.spawn_thread("t", [&] {
     bus::word w = 1234;
     m.write(5, &w);
@@ -37,14 +71,14 @@ TEST(FaultyMemory, NoErrorsAtZeroRate) {
     }
   });
   sim.run();
-  EXPECT_EQ(m.injected_errors(), 0u);
+  EXPECT_EQ(upsets(m), 0u);
 }
 
 TEST(FaultyMemory, InjectsAtConfiguredRate) {
   kern::Simulation sim;
   kern::Module top(sim, "top");
-  mem::FaultyMemory m(top, "fm", 0, 64,
-                      {.read_error_rate = 0.25, .bits_per_error = 1});
+  mem::Memory m(top, "fm", 0, 64);
+  m.set_ecc(read_upsets({.rate = 0.25, .bits = 1}));
   u64 corrupted = 0;
   top.spawn_thread("t", [&] {
     bus::word w = 0;
@@ -58,17 +92,15 @@ TEST(FaultyMemory, InjectsAtConfiguredRate) {
   sim.run();
   // ~25% +- noise; a flipped bit always changes a zero word.
   EXPECT_NEAR(static_cast<double>(corrupted), 500.0, 80.0);
-  EXPECT_EQ(m.injected_errors(), corrupted);
+  EXPECT_EQ(upsets(m), corrupted);
 }
 
 TEST(FaultyMemory, WindowRestrictsInjection) {
   kern::Simulation sim;
   kern::Module top(sim, "top");
-  mem::FaultyMemory m(top, "fm", 0, 64,
-                      {.read_error_rate = 1.0,
-                       .bits_per_error = 1,
-                       .window_low = 10,
-                       .window_high = 19});
+  mem::Memory m(top, "fm", 0, 64);
+  m.set_ecc(read_upsets(
+      {.rate = 1.0, .bits = 1, .window_low = 10, .window_high = 19}));
   top.spawn_thread("t", [&] {
     bus::word w = 0, r = 0;
     m.write(5, &w);
@@ -79,15 +111,14 @@ TEST(FaultyMemory, WindowRestrictsInjection) {
     EXPECT_NE(r, 0);  // inside: always corrupted at rate 1.0
   });
   sim.run();
-  EXPECT_EQ(m.injected_errors(), 1u);
+  EXPECT_EQ(upsets(m), 1u);
 }
 
 TEST(FaultyMemory, EccCorrectsSingleBitUpsetsSilently) {
   kern::Simulation sim;
   kern::Module top(sim, "top");
-  mem::FaultyMemory m(top, "fm", 0, 64,
-                      {.read_error_rate = 0.25, .bits_per_error = 1,
-                       .ecc = true});
+  mem::Memory m(top, "fm", 0, 64);
+  m.set_ecc(read_upsets({.rate = 0.25, .bits = 1, .correct = true}));
   top.spawn_thread("t", [&] {
     bus::word w = 0x5A5A5A5A;
     m.write(3, &w);
@@ -100,8 +131,8 @@ TEST(FaultyMemory, EccCorrectsSingleBitUpsetsSilently) {
   sim.run();
   // Upsets still happen (and are drawn from the same RNG stream as the
   // uncorrected configuration) — the ECC just masks them.
-  EXPECT_NEAR(static_cast<double>(m.injected_errors()), 500.0, 80.0);
-  EXPECT_EQ(m.ecc()->stats().corrected, m.injected_errors());
+  EXPECT_NEAR(static_cast<double>(upsets(m)), 500.0, 80.0);
+  EXPECT_EQ(m.ecc()->stats().corrected, upsets(m));
   EXPECT_EQ(m.ecc()->stats().uncorrectable, 0u);
 }
 
@@ -111,8 +142,8 @@ TEST(FaultyMemory, MultiBitUpsetsAreLedgeredUncorrectable) {
   // but each one is detected and lands in the ledger with its bit count.
   kern::Simulation sim;
   kern::Module top(sim, "top");
-  mem::FaultyMemory m(top, "fm", 0, 64,
-                      {.read_error_rate = 1.0, .bits_per_error = 2});
+  mem::Memory m(top, "fm", 0, 64);
+  m.set_ecc(read_upsets({.rate = 1.0, .bits = 2}));
   fault::FaultLedger led;
   m.set_fault_ledger(&led);
   constexpr int kReads = 50;
@@ -127,7 +158,7 @@ TEST(FaultyMemory, MultiBitUpsetsAreLedgeredUncorrectable) {
     }
   });
   sim.run();
-  EXPECT_EQ(m.injected_errors(), static_cast<u64>(kReads));
+  EXPECT_EQ(upsets(m), static_cast<u64>(kReads));
   EXPECT_EQ(m.ecc()->stats().uncorrectable, static_cast<u64>(kReads));
   ASSERT_EQ(led.count(fault::FaultEventKind::kEccUncorrectable),
             static_cast<u64>(kReads));
@@ -143,12 +174,12 @@ TEST(FaultInjection, CrcCatchesCorruptedPipelineBuffer) {
   kern::Module top(sim, "top");
   bus::Bus b(top, "bus");
   // Inject only in the staging buffer region.
-  mem::FaultyMemory ram(top, "ram", 0x1000, 2048,
-                        {.read_error_rate = 0.02,
-                         .bits_per_error = 1,
-                         .seed = 7,
-                         .window_low = 0x1400,
-                         .window_high = 0x14FF});
+  mem::Memory ram(top, "ram", 0x1000, 2048);
+  ram.set_ecc(read_upsets({.rate = 0.02,
+                           .bits = 1,
+                           .seed = 7,
+                           .window_low = 0x1400,
+                           .window_high = 0x14FF}));
   b.bind_slave(ram);
   soc::HwAccel crc_acc(top, "crc", 0x100, accel::make_crc_spec());
   crc_acc.mst_port.bind(b);
@@ -187,9 +218,9 @@ TEST(FaultInjection, CrcCatchesCorruptedPipelineBuffer) {
   // 64 reads/frame at 2%: virtually every frame sees >=1 corrupt word...
   // but allow for lucky clean frames. Mismatches must match injections
   // being nonzero, and a CRC mismatch requires at least one injection.
-  EXPECT_GT(ram.injected_errors(), 0u);
+  EXPECT_GT(upsets(ram), 0u);
   EXPECT_GT(crc_mismatches, 10);
-  EXPECT_LE(static_cast<u64>(crc_mismatches), ram.injected_errors());
+  EXPECT_LE(static_cast<u64>(crc_mismatches), upsets(ram));
 }
 
 TEST(FaultInjection, DrcfForwardingDoesNotMaskFaults) {
@@ -199,11 +230,11 @@ TEST(FaultInjection, DrcfForwardingDoesNotMaskFaults) {
   kern::Simulation sim;
   kern::Module top(sim, "top");
   bus::Bus b(top, "bus");
-  mem::FaultyMemory ram(top, "ram", 0x1000, 2048,
-                        {.read_error_rate = 1.0,  // always corrupt
-                         .bits_per_error = 1,
-                         .window_low = 0x1400,
-                         .window_high = 0x143F});
+  mem::Memory ram(top, "ram", 0x1000, 2048);
+  ram.set_ecc(read_upsets({.rate = 1.0,  // always corrupt
+                           .bits = 1,
+                           .window_low = 0x1400,
+                           .window_high = 0x143F}));
   mem::Memory cfg_mem(top, "cfg", 0x100000, 256);
   b.bind_slave(ram);
   b.bind_slave(cfg_mem);
@@ -263,8 +294,8 @@ TEST(FaultyMemory, MultiBitUpsetsFlipDistinctBits) {
   // bits_per_error distinct positions.
   kern::Simulation sim;
   kern::Module top(sim, "top");
-  mem::FaultyMemory m(top, "fm", 0, 64,
-                      {.read_error_rate = 1.0, .bits_per_error = 2});
+  mem::Memory m(top, "fm", 0, 64);
+  m.set_ecc(read_upsets({.rate = 1.0, .bits = 2}));
   top.spawn_thread("t", [&] {
     bus::word w = 0;
     m.write(3, &w);
@@ -275,7 +306,7 @@ TEST(FaultyMemory, MultiBitUpsetsFlipDistinctBits) {
     }
   });
   sim.run();
-  EXPECT_EQ(m.injected_errors(), 50u);
+  EXPECT_EQ(upsets(m), 50u);
 }
 
 TEST(FaultInjector, SiteStreamsAreDeterministicAndIndependent) {

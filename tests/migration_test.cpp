@@ -4,8 +4,7 @@
 // resuming on fabric B — across timing modes, loose quanta, prefetch
 // policies and fault plans that interrupt the transfer. Plus table-driven
 // negative restore tests (a bad state is rejected loudly and never corrupts
-// a running context), preemptive-checkpoint parking, and the heterogeneous
-// DRCF-to-MorphoSys handoff.
+// a running context) and preemptive-checkpoint parking.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -20,7 +19,6 @@
 #include "drcf/task_state.hpp"
 #include "kernel/sched_trace.hpp"
 #include "kernel/simulation.hpp"
-#include "morphosys/kernels.hpp"
 #include "netlist/design.hpp"
 #include "netlist/elaborate.hpp"
 #include "soc/hwacc.hpp"
@@ -326,103 +324,6 @@ TEST(TaskStateSerializationTest, RoundTripAndNegatives) {
   bad[drcf::TaskState::kHeaderWords] ^= 4;  // one flipped payload bit
   EXPECT_EQ(drcf::TaskState::parse(bad, &out),
             drcf::RestoreError::kDigestMismatch);
-}
-
-// --- heterogeneous handoff --------------------------------------------------
-
-TEST(MigrationMorphosysTest, HandoffRunsKernelOverCheckpointedData) {
-  constexpr bus::addr_t kAcc = 0x100;
-  constexpr bus::addr_t kSrc = 0x1000;
-  constexpr bus::addr_t kDst = 0x1400;
-  constexpr usize kWords = 32;
-
-  std::vector<bus::word> data(kWords);
-  Xoshiro256 rng(21);
-  for (auto& v : data) v = static_cast<bus::word>(rng.next_range(0, 999));
-
-  struct Hook {
-    std::function<void()> fire;
-  };
-  auto hook = std::make_shared<Hook>();
-  hook->fire = [] {};
-
-  netlist::Design d;
-  netlist::BusDecl bus_decl;
-  bus_decl.config.cycle_time = 10_ns;
-  d.add("system_bus", bus_decl);
-  netlist::MemoryDecl ram;
-  ram.low = 0x1000;
-  ram.words = 4096;
-  ram.bus = "system_bus";
-  d.add("ram", ram);
-  netlist::MemoryDecl cfg;
-  cfg.low = 0x100000;
-  cfg.words = 1u << 16;
-  cfg.bus = "system_bus";
-  d.add("cfg_mem", cfg);
-  netlist::HwAccelDecl acc;
-  acc.base = kAcc;
-  acc.spec = accel::make_crc_spec();
-  acc.slave_bus = acc.master_bus = "system_bus";
-  d.add("acc", acc);
-  netlist::ProcessorDecl cpu;
-  cpu.master_bus = "system_bus";
-  cpu.program = [data, hook](soc::Cpu& c) {
-    c.burst_write(kSrc, data);
-    // Program the task's registers but never start it on the DRCF side:
-    // the MorphoSys machine takes over from the checkpointed registers.
-    c.write(kAcc + soc::HwAccel::kSrc, kSrc);
-    c.write(kAcc + soc::HwAccel::kDst, kDst);
-    c.write(kAcc + soc::HwAccel::kLen, kWords);
-    hook->fire();
-  };
-  d.add("cpu", cpu);
-
-  transform::TransformOptions topt;
-  topt.drcf_config.technology = drcf::varicore_like();
-  topt.config_memory = "cfg_mem";
-  const std::vector<std::string> candidates{"acc"};
-  const auto report = transform::transform_to_drcf(d, candidates, topt);
-  ASSERT_TRUE(report.ok);
-
-  kern::Simulation sim;
-  netlist::Elaborated e(sim, d);
-  soc::MigrationConfig mcfg;
-  mcfg.staging_base = 0x100000 + (1u << 16) - 0x100;
-  soc::MigrationController ctrl(e.top(), "migrator", mcfg);
-  ctrl.mst_port.bind(e.get_bus("system_bus"));
-
-  morphosys::Machine machine;
-  const auto contexts = morphosys::scale_shift_contexts(3, 1);
-  auto& fabric = e.get_drcf(report.drcf_name);
-  soc::MigrationResult res;
-  hook->fire = [&] {
-    soc::MorphosysHandoff handoff;
-    handoff.machine = &machine;
-    handoff.contexts = contexts;
-    res = ctrl.migrate_to_morphosys(fabric, 0, handoff);
-  };
-  sim.run();
-
-  ASSERT_TRUE(res.ok()) << soc::to_string(res.status);
-  EXPECT_EQ(ctrl.stats().morphosys_handoffs, 1u);
-  EXPECT_EQ(ctrl.stats().checkpoints, 1u);
-  EXPECT_EQ(ctrl.stats().migrations, 0u);  // a handoff is not a DRCF restore
-  // State + input + output all crossed the bus.
-  EXPECT_GT(res.words_moved, static_cast<u64>(2 * kWords));
-
-  // Reference: the same kernel over the same data on a second machine.
-  morphosys::Machine ref;
-  std::vector<i32> in(data.begin(), data.end());
-  ref.mem_load(0x1000, in);
-  ASSERT_TRUE(morphosys::run_tile_kernel(ref, contexts, 0x1000, 0x2000,
-                                         kWords));
-  auto& ram_mem = e.get_memory("ram");
-  for (usize i = 0; i < kWords; ++i) {
-    EXPECT_EQ(ram_mem.peek(kDst + static_cast<bus::addr_t>(i)),
-              ref.mem_read(0x2000 + i))
-        << "word " << i;
-  }
 }
 
 // --- registry wiring --------------------------------------------------------

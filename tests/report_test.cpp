@@ -170,15 +170,6 @@ TEST(Integration, SystemReportTablesAndJson) {
   EXPECT_NE(text.find("system_bus"), std::string::npos);
   EXPECT_NE(text.find("drcf1"), std::string::npos);
   EXPECT_NE(text.find("cfg_mem"), std::string::npos);
-
-  const std::string json = report.to_json();
-  EXPECT_NE(json.find("\"kind\":\"drcf\""), std::string::npos);
-  EXPECT_NE(json.find("\"switches\":6"), std::string::npos);
-  EXPECT_NE(json.find("\"finished\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"contexts\":[{"), std::string::npos);
-  // Crude structural sanity: balanced braces.
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
 }
 
 }  // namespace

@@ -160,14 +160,6 @@ TEST(Table, PrintAligned) {
   EXPECT_NE(s.find("| bb"), std::string::npos);
 }
 
-TEST(Table, Csv) {
-  Table t;
-  t.header({"x", "y"}).row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "x,y\n1,2\n");
-}
-
 TEST(Table, Formatters) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::integer(-42), "-42");
