@@ -37,6 +37,7 @@ void BM_FiberSwitch(benchmark::State& state) {
   });
   for (auto _ : state) f.resume();
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.SetLabel("layer=fiber");
 }
 BENCHMARK(BM_FiberSwitch);
 
@@ -64,6 +65,7 @@ void BM_EventNotifyWait(benchmark::State& state) {
   sim.elaborate();
   for (auto _ : state) sim.run();
   state.SetItemsProcessed(static_cast<i64>(round_trips));
+  state.SetLabel("layer=kernel");
 }
 BENCHMARK(BM_EventNotifyWait);
 
@@ -141,6 +143,7 @@ void BM_SchedTraceDigest(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(wakes));
   if (state.range(0) != 0)
     state.counters["records"] = static_cast<double>(digest.records());
+  state.SetLabel("layer=kernel");
 }
 BENCHMARK(BM_SchedTraceDigest)->Arg(0)->Arg(1);
 
@@ -166,6 +169,7 @@ void BM_TimedQueueCompaction(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(wakes));
   state.counters["timed_queue"] =
       static_cast<double>(sim.timed_queue_size());
+  state.SetLabel("layer=kernel");
 }
 BENCHMARK(BM_TimedQueueCompaction);
 
@@ -196,6 +200,7 @@ void BM_CampaignThroughput(benchmark::State& state) {
     for (auto& f : futures) benchmark::DoNotOptimize(f.get());
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * kJobs);
+  state.SetLabel("layer=campaign");
 }
 BENCHMARK(BM_CampaignThroughput)->Arg(1)->Arg(2)->Arg(4);
 
@@ -280,6 +285,7 @@ void BM_SignalPropagation(benchmark::State& state) {
   sim.elaborate();
   for (auto _ : state) sim.run(kern::Time::us(1));
   state.SetItemsProcessed(static_cast<i64>(observed));
+  state.SetLabel("layer=channels");
 }
 BENCHMARK(BM_SignalPropagation);
 
@@ -295,6 +301,7 @@ void BM_ClockEdges(benchmark::State& state) {
   sim.elaborate();
   for (auto _ : state) sim.run(kern::Time::us(10));  // 1000 periods
   state.SetItemsProcessed(static_cast<i64>(edges));
+  state.SetLabel("layer=channels");
 }
 BENCHMARK(BM_ClockEdges);
 
@@ -363,6 +370,7 @@ void BM_DrcfHitForwarding(benchmark::State& state) {
   rig.sim.elaborate();
   for (auto _ : state) rig.sim.run(kern::Time::us(20));
   state.SetItemsProcessed(static_cast<i64>(reads));
+  state.SetLabel("layer=drcf");
 }
 BENCHMARK(BM_DrcfHitForwarding);
 
@@ -386,6 +394,7 @@ void run_context_switches(benchmark::State& state, bool armed) {
   rig.sim.elaborate();
   for (auto _ : state) rig.sim.run(kern::Time::ms(1));
   state.SetItemsProcessed(static_cast<i64>(switches));
+  state.SetLabel("layer=drcf");
 }
 
 void BM_DrcfContextSwitch(benchmark::State& state) {
@@ -395,7 +404,6 @@ BENCHMARK(BM_DrcfContextSwitch)->Arg(64)->Arg(1024);
 
 void BM_DrcfContextSwitchArmed(benchmark::State& state) {
   run_context_switches(state, /*armed=*/true);
-  state.SetLabel("layer=drcf");
 }
 BENCHMARK(BM_DrcfContextSwitchArmed)->Arg(64)->Arg(1024);
 
@@ -435,6 +443,7 @@ void BM_PrefetchHitRate(benchmark::State& state) {
   const double busy = fs.reconfig_busy_time.to_ns();
   state.counters["hidden_frac"] =
       hidden + busy > 0 ? hidden / (hidden + busy) : 0.0;
+  state.SetLabel("layer=drcf");
 }
 BENCHMARK(BM_PrefetchHitRate)->Arg(0)->Arg(1);
 
@@ -473,6 +482,7 @@ void BM_RawAccelerator(benchmark::State& state) {
   sim.elaborate();
   for (auto _ : state) sim.run(kern::Time::ms(1));
   state.SetItemsProcessed(static_cast<i64>(runs));
+  state.SetLabel("layer=accelerator");
 }
 BENCHMARK(BM_RawAccelerator);
 
@@ -537,6 +547,7 @@ void BM_DrcfWrappedAccelerator(benchmark::State& state, kern::TimingMode mode,
   state.counters["dispatches"] = static_cast<double>(sim.activations());
   state.counters["loose_syncs"] = static_cast<double>(sim.loose_syncs());
   state.counters["dmi_words"] = static_cast<double>(b.stats().dmi_words);
+  state.SetLabel("layer=drcf");
 }
 BENCHMARK_CAPTURE(BM_DrcfWrappedAccelerator, timed, kern::TimingMode::kTimed,
                   kern::Time::zero());
@@ -579,6 +590,7 @@ void BM_PagedVsFlat(benchmark::State& state, bool flat) {
   state.SetItemsProcessed(static_cast<i64>(words));
   state.counters["resident_pages"] =
       static_cast<double>(store.resident_pages());
+  state.SetLabel("layer=memory");
 }
 BENCHMARK_CAPTURE(BM_PagedVsFlat, paged, false);
 BENCHMARK_CAPTURE(BM_PagedVsFlat, flat, true);
@@ -627,6 +639,7 @@ void BM_CampaignResidentSet(benchmark::State& state, bool shared) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * kJobs);
   state.counters["peak_resident_mb"] =
       static_cast<double>(peak_over_base) / (1024.0 * 1024.0);
+  state.SetLabel("layer=memory");
 }
 BENCHMARK_CAPTURE(BM_CampaignResidentSet, shared_image, true);
 BENCHMARK_CAPTURE(BM_CampaignResidentSet, private_pages, false);
