@@ -66,8 +66,8 @@ class BusFaultInterposer : public kern::Module, public bus::BusMasterIf {
 };
 
 /// Slave-path interposer: wraps any bus::BusSlaveIf, mirroring its address
-/// range — drop-in on a Bus where the original slave was bound. Supersedes
-/// the ad-hoc FaultyMemory for anything that is not a Memory.
+/// range — drop-in on a Bus where the original slave was bound. A Memory
+/// gets its upsets from the ECC model (Memory::set_ecc) instead.
 ///
 /// DMI interaction: while the plan is active (any rule or scripted fault),
 /// the interposer declines to forward the inner slave's DMI grants — a

@@ -28,7 +28,7 @@ struct EccConfig {
   /// kCorrupt rules/scripts drive upsets; other kinds are ignored.
   fault::FaultPlan upsets;
   /// Correct single-bit upsets (count only). When false the model degrades
-  /// to raw payload corruption — the legacy FaultyMemory behavior.
+  /// to raw payload corruption.
   bool correct_single = true;
   /// Flip bits in the backing store (persistent, scrubbable) rather than
   /// only in the returned payload (transient, per-read).
@@ -38,7 +38,7 @@ struct EccConfig {
   bool repair_on_detect = true;
   /// Fail the bus read (slave error) on a detected-uncorrectable word —
   /// what feeds the DRCF recovery ladder. When false the corrupted payload
-  /// is delivered as data (legacy FaultyMemory semantics).
+  /// is delivered as data, for a downstream check (a CRC) to catch.
   bool signal_uncorrectable = true;
   /// Background scrubber sweep period; zero disables the scrubber process.
   kern::Time scrub_period = kern::Time::zero();
