@@ -1,8 +1,9 @@
 // Bus interfaces. BusSlaveIf reproduces the paper's `bus_slv_if` verbatim
 // (Sec. 5.2): address-range discovery via get_low_add()/get_high_add() is
 // what lets the DRCF transformation build its routing multiplexer — the
-// paper's Sec. 5.4 limitation 2 makes this pair mandatory. Its one addition,
-// the defaulted read_burst() hook, changes no slave's behaviour.
+// paper's Sec. 5.4 limitation 2 makes this pair mandatory. Its two additions,
+// the defaulted read_burst() hook and reads_untimed() query, change no
+// slave's behaviour.
 #pragma once
 
 #include <functional>
@@ -36,6 +37,15 @@ class BusSlaveIf : public virtual kern::Interface {
     for (usize i = 0; i < len; ++i)
       if (!read(add + static_cast<addr_t>(i), data + i)) return false;
     return true;
+  }
+  /// True when read_burst(add, data, len) would deliver every word without
+  /// waiting, without failing and whatever the time it is called at, so an
+  /// initiator that models the words' timing itself may fetch them all in
+  /// one call. Const and free of side effects. The default declines: each
+  /// word then reaches read() at its own time.
+  [[nodiscard]] virtual bool reads_untimed(addr_t /*add*/,
+                                           usize /*len*/) const {
+    return false;
   }
 };
 

@@ -141,10 +141,9 @@ void ThreadProcess::wait_time(Time t) {
 }
 
 void ThreadProcess::wait_for(Time t) {
-  if (!sim().wait_in_place(*this, t)) {
-    timeout_event_->notify(t);  // t == 0 degrades to a delta yield
-    wait_event(*timeout_event_);
-  }
+  if (sim().wait_in_place(*this, t, 1)) return;
+  timeout_event_->notify(t);  // t == 0 degrades to a delta yield
+  wait_event(*timeout_event_);
   timed_out_ = false;  // a plain timed wait is not a "timeout"
 }
 

@@ -460,35 +460,52 @@ StopReason Simulation::run(Time duration) {
   }
 }
 
-bool Simulation::wait_in_place(Process& p, Time t) {
+bool Simulation::wait_in_place(Process& p, Time t, u64 n) {
   // The round trip's next steps are fixed when nothing else is due first:
   // no other work in this delta cycle, no stop to honour at its end, and a
   // timed queue whose top (stale entries included, which the round trip
-  // would pop) comes strictly after the wake, so p's timeout fires alone.
-  // The wake must also land inside this run() and not trip the watchdog.
-  if (t.is_zero() || !runnable_.empty() || !update_queue_.empty() ||
+  // would pop) comes strictly after the last wake, so p's timeouts fire
+  // alone. The last wake must also land inside this run() (n * t cannot
+  // overflow then) and no step may trip the watchdog.
+  if (t.is_zero() || n == 0 || !runnable_.empty() || !update_queue_.empty() ||
       !delta_queue_.empty() || !pending_dynamic_.empty() || stop_requested_ ||
-      external_stop_.load(std::memory_order_relaxed) || t > run_end_ - now_)
+      external_stop_.load(std::memory_order_relaxed) ||
+      (run_end_ - now_) / t < n)
     return false;
-  const Time wake = now_ + t;
+  const Time wake = now_ + t * n;
   if (!timed_queue_.empty() && timed_top().time <= wake) return false;
+  // A non-daemon's every dispatch is progress, so only its first step can
+  // trip the watchdog (each later one spans t, no more than the first). A
+  // daemon's steps are not progress: its last wake must still be in time.
+  const Time quiet_until = p.is_daemon() ? wake : now_ + t;
   if (!max_quiet_time_.is_zero() &&
-      wake - last_progress_time_ > max_quiet_time_)
+      quiet_until - last_progress_time_ > max_quiet_time_)
     return false;
   ADRIATIC_CHECK(current_process_ == &p,
                  "wait_in_place called for a process that is not running");
-  // The rest of p's delta cycle (delta_cycle() and run()'s tail) ...
-  ++delta_count_;
-  emit(SchedRecord::Kind::kDeltaCycleEnd, 0);
-  sample_tracers();
-  // ... the time advance and p's timeout (run()'s timed-queue loop) ...
-  now_ = wake;
-  emit(SchedRecord::Kind::kTimeAdvance, 0);
-  emit(SchedRecord::Kind::kTimedNotify, p.timeout_event_->trace_id());
-  // ... and p's dispatch (evaluate()).
-  ++activations_;
-  if (!p.is_daemon()) last_progress_time_ = now_;
-  emit(SchedRecord::Kind::kDispatch, p.trace_id());
+  p.timed_out_ = false;  // a plain timed wait is not a "timeout"
+  if (observer_ == nullptr && tracers_.empty()) [[likely]] {
+    // Nobody sees the steps one by one: only their counts and end remain.
+    delta_count_ += n;
+    activations_ += n;
+    now_ = wake;
+    if (!p.is_daemon()) last_progress_time_ = now_;
+    return true;
+  }
+  for (u64 i = 0; i < n; ++i) {
+    // The rest of p's delta cycle (delta_cycle() and run()'s tail) ...
+    ++delta_count_;
+    emit(SchedRecord::Kind::kDeltaCycleEnd, 0);
+    sample_tracers();
+    // ... the time advance and p's timeout (run()'s timed-queue loop) ...
+    now_ += t;
+    emit(SchedRecord::Kind::kTimeAdvance, 0);
+    emit(SchedRecord::Kind::kTimedNotify, p.timeout_event_->trace_id());
+    // ... and p's dispatch (evaluate()).
+    ++activations_;
+    if (!p.is_daemon()) last_progress_time_ = now_;
+    emit(SchedRecord::Kind::kDispatch, p.trace_id());
+  }
   return true;
 }
 
@@ -514,5 +531,13 @@ void wait_all(std::span<Event* const> events) {
 }
 
 bool timed_out() { return running_thread("timed_out()").timed_out(); }
+
+bool wait_in_place(Time t, u64 n) {
+  ThreadProcess& p = running_thread("wait_in_place()");
+  // A decoupled process owes its waits to its local offset, not the
+  // scheduler; only a timed (or strict) one may step the clock in place.
+  if (p.sim().loose() && !p.timing_strict()) return false;
+  return p.sim().wait_in_place(p, t, n);
+}
 
 }  // namespace adriatic::kern

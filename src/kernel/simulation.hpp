@@ -196,13 +196,15 @@ class Simulation {
   void request_update(Channel& ch);
   void attach_tracer(TraceFile& tf);
   void detach_tracer(TraceFile& tf);
-  /// Called by the running thread `p` before it blocks for `t`. When `p` is
-  /// the only thing due before now() + t, performs in place the scheduler
-  /// steps its round trip would take (end of the delta cycle, tracer
-  /// sampling, the time advance, its timeout and its dispatch), with the
-  /// same counts and trace records, and returns true: `p` carries on
-  /// without yielding. Otherwise changes nothing and returns false.
-  [[nodiscard]] bool wait_in_place(Process& p, Time t);
+  /// Called by the running thread `p` before it blocks `n` times for `t`
+  /// each. When `p` is the only thing due before now() + n * t, performs in
+  /// place the scheduler steps its n round trips would take (per step: end
+  /// of the delta cycle, tracer sampling, the time advance, its timeout and
+  /// its dispatch), with the same counts and trace records, and returns
+  /// true: `p` carries on without yielding. Otherwise changes nothing and
+  /// returns false. Without an observer or tracer attached, the n steps
+  /// collapse into one update of the counts and the clock.
+  [[nodiscard]] bool wait_in_place(Process& p, Time t, u64 n);
 
  private:
   friend class Object;
@@ -314,5 +316,10 @@ void wait_any(std::span<Event* const> events);
 void wait_all(std::span<Event* const> events);
 /// True if the calling thread's last wait(Time, Event&) ended by timeout.
 [[nodiscard]] bool timed_out();
+/// Performs `n` consecutive wait(t) calls of the calling thread in place,
+/// as one batch, when nothing else is due before they end
+/// (Simulation::wait_in_place); returns false, having waited nothing,
+/// otherwise and for a loosely timed process that is not timing_strict().
+[[nodiscard]] bool wait_in_place(Time t, u64 n);
 
 }  // namespace adriatic::kern

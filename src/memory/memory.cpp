@@ -82,6 +82,17 @@ bool Memory::read_burst(bus::addr_t add, bus::word* data, usize len) {
   return true;
 }
 
+bool Memory::reads_untimed(bus::addr_t add, usize len) const {
+  if (!read_latency_.is_zero() || ecc_ != nullptr || len == 0 ||
+      add < low_ || add - low_ + len > store_.size_words())
+    return false;
+  const usize first = add - low_;
+  for (usize p = PagedStore::page_of(first);
+       p <= PagedStore::page_of(first + len - 1); ++p)
+    if (!store_.read_gate_passes(p)) return false;
+  return true;
+}
+
 bool Memory::write(bus::addr_t add, bus::word* data) {
   if (!in_range(add) || data == nullptr) {
     ++stats_.errors;

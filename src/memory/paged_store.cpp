@@ -275,6 +275,11 @@ bool PagedStore::check_page_on_read(usize page) {
   return true;
 }
 
+bool PagedStore::read_gate_passes(usize page) const {
+  return page >= pages_.size() || !pages_[page] || verified_[page] ||
+         verify_page(page);
+}
+
 void PagedStore::write(usize idx, bus::word value) {
   const usize page = page_index_checked(idx, "write");
   PageData& p = materialize(page, /*preserve_golden=*/false);

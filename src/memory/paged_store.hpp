@@ -187,6 +187,10 @@ class PagedStore {
   /// returning false until the page is restored) on a mismatch — the caller
   /// decides whether that is a bus error, a ledger entry, or both.
   [[nodiscard]] bool check_page_on_read(usize page);
+  /// Whether check_page_on_read(page) would pass, with none of its effects:
+  /// the page is not resident, already verified, or verifies now. Bumps no
+  /// stat and marks nothing verified.
+  [[nodiscard]] bool read_gate_passes(usize page) const;
 
   // Sharing ------------------------------------------------------------------
   /// Adopts the image's pages at word offset `at` (must be page-aligned and
