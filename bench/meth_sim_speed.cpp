@@ -354,6 +354,63 @@ void BM_BusBurstRead(benchmark::State& state) {
 }
 BENCHMARK(BM_BusBurstRead);
 
+// Forwards to a slave and keeps every BusSlaveIf default, so it declines
+// reads_untimed() and a DirectLink reads through it word by word.
+class PassThroughSlave final : public bus::BusSlaveIf {
+ public:
+  explicit PassThroughSlave(bus::BusSlaveIf& inner) : inner_(inner) {}
+  [[nodiscard]] bus::addr_t get_low_add() const override {
+    return inner_.get_low_add();
+  }
+  [[nodiscard]] bus::addr_t get_high_add() const override {
+    return inner_.get_high_add();
+  }
+  bool read(bus::addr_t add, bus::word* data) override {
+    return inner_.read(add, data);
+  }
+  bool write(bus::addr_t add, bus::word* data) override {
+    return inner_.write(add, data);
+  }
+
+ private:
+  bus::BusSlaveIf& inner_;
+};
+
+// Timed 64-word DirectLink bursts from loaded paged memory, the shape of a
+// configuration fetch over a dedicated port. `bulk` binds the memory: each
+// burst is one in-place kernel batch and one slave call. `per_word` binds
+// it through a pass-through slave: one in-place wait and one slave call
+// per word. Both give the same clock and counts. Items are words.
+void BM_LinkBurstRead(benchmark::State& state, bool per_word) {
+  kern::Simulation sim;
+  kern::Module top(sim, "top");
+  bus::DirectLink link(top, "link", 10_ns);
+  mem::Memory m(top, "ram", 0, 4096);
+  PassThroughSlave shim(m);
+  if (per_word) {
+    link.bind_slave(shim);
+  } else {
+    link.bind_slave(m);
+  }
+  std::vector<bus::word> image(4096);
+  for (usize i = 0; i < image.size(); ++i) image[i] = static_cast<bus::word>(i);
+  m.load(0, image);
+  u64 words = 0;
+  top.spawn_thread("master", [&] {
+    std::vector<bus::word> buf(64);
+    for (;;) {
+      link.burst_read(static_cast<bus::addr_t>(words % 4096), buf, 0);
+      words += buf.size();
+    }
+  });
+  sim.elaborate();
+  for (auto _ : state) sim.run(kern::Time::us(640));  // 1000 bursts
+  state.SetItemsProcessed(static_cast<i64>(words));
+  state.SetLabel("layer=bus");
+}
+BENCHMARK_CAPTURE(BM_LinkBurstRead, bulk, false);
+BENCHMARK_CAPTURE(BM_LinkBurstRead, per_word, true);
+
 void BM_DrcfHitForwarding(benchmark::State& state) {
   drcf::DrcfConfig dc;
   dc.technology = drcf::varicore_like();

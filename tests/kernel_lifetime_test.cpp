@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,13 @@ struct LifetimeShape {
   const char* name;
   void (*run)();
 };
+
+// Prints a shape by name: without it gtest prints the parameter as a byte
+// dump that includes the function pointer, and ctest's test IDs would
+// differ from build to build.
+void PrintTo(const LifetimeShape& shape, std::ostream* os) {
+  *os << shape.name;
+}
 
 constexpr LifetimeShape kShapes[] = {
     {"DeltaThenCancelThenDestroy", delta_then_cancel_then_destroy},
