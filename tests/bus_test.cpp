@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "bus/bus_lib.hpp"
+#include "conformance/digest.hpp"
 #include "kernel/kernel.hpp"
 #include "memory/memory.hpp"
 
@@ -408,6 +409,73 @@ TEST(DirectLinkTest, TransfersWithoutContention) {
   });
   f.sim.run();
   EXPECT_EQ(link.transfers(), 8u);
+}
+
+/// Forwards to a slave and keeps every BusSlaveIf default, so a link reads
+/// through it word by word.
+class PassThroughSlave final : public bus::BusSlaveIf {
+ public:
+  explicit PassThroughSlave(bus::BusSlaveIf& inner) : inner_(inner) {}
+  [[nodiscard]] bus::addr_t get_low_add() const override {
+    return inner_.get_low_add();
+  }
+  [[nodiscard]] bus::addr_t get_high_add() const override {
+    return inner_.get_high_add();
+  }
+  bool read(bus::addr_t add, bus::word* data) override {
+    return inner_.read(add, data);
+  }
+  bool write(bus::addr_t add, bus::word* data) override {
+    return inner_.write(add, data);
+  }
+
+ private:
+  bus::BusSlaveIf& inner_;
+};
+
+// A memory with read latency waits inside each word's read, between the
+// link's word times: a burst over it must keep that interleaving in the
+// scheduler trace, not wait for every link word first.
+TEST(DirectLinkTest, SlowMemoryBurstKeepsPerWordSchedule) {
+  const auto digest = [](bool pass_through) {
+    Fixture f;
+    bus::DirectLink link(f.top, "link", 10_ns);
+    mem::Memory m(f.top, "cfg_mem", 0, 64, 5_ns);
+    PassThroughSlave shim(m);
+    if (pass_through) {
+      link.bind_slave(shim);
+    } else {
+      link.bind_slave(m);
+    }
+    conformance::TraceDigest d;
+    f.sim.set_observer(&d);
+    f.top.spawn_thread("t", [&] {
+      std::vector<bus::word> in(8, 0);
+      EXPECT_EQ(link.burst_read(0, in, 0), BusStatus::kOk);
+    });
+    f.sim.run();
+    EXPECT_EQ(f.sim.now(), 120_ns);
+    return d.value();
+  };
+  EXPECT_EQ(digest(false), digest(true));
+}
+
+// A batched burst is progress for a non-daemon caller: its next wait must
+// measure the watchdog's quiet time from the burst's end.
+TEST(DirectLinkTest, BatchedBurstCountsAsProgress) {
+  Fixture f;
+  bus::DirectLink link(f.top, "link", 10_ns);
+  mem::Memory m(f.top, "cfg_mem", 0, 64);
+  link.bind_slave(m);
+  f.sim.set_max_quiet_time(15_ns);
+  f.top.spawn_thread("t", [&] {
+    std::vector<bus::word> in(16, 0);
+    EXPECT_EQ(link.burst_read(0, in, 0), BusStatus::kOk);
+    kern::wait(10_ns);
+  });
+  EXPECT_EQ(f.sim.run(), kern::StopReason::kNoActivity);
+  EXPECT_EQ(f.sim.now(), 170_ns);
+  EXPECT_FALSE(f.sim.deadlock_report().has_value());
 }
 
 TEST(BridgeTest, ForwardsAcrossBuses) {
