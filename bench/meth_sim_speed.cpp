@@ -236,10 +236,11 @@ void BM_JournalCommit(benchmark::State& state) {
 BENCHMARK(BM_JournalCommit)->Threads(1)->Threads(4)->UseRealTime();
 
 // One process-mode job round trip, submit to committed record, with an
-// empty body so the time is the campaign layer's own: 32 closure jobs fork a
-// fresh child each, while 32 kind jobs queued as one backlog are served back
-// to back by one reused child over its socket. Wall time, since the cost is
-// fork, exit and reap in the kernel plus the round trip.
+// empty kind body so the time is the campaign layer's own: in fresh_fork
+// each of 32 jobs drains the queue before the next is submitted, so each
+// runs in a fresh child, while reused_child queues all 32 as one backlog,
+// served back to back by one child over its socket. Wall time, since the
+// cost is fork, exit and reap in the kernel plus the round trip.
 void BM_ProcessJob(benchmark::State& state, bool reuse) {
   constexpr int kJobs = 32;
   const campaign::KindResolver kinds = [](const campaign::JobKind&,
@@ -249,14 +250,11 @@ void BM_ProcessJob(benchmark::State& state, bool reuse) {
   };
   const campaign::JobKind empty{"empty", ""};
   for (auto _ : state) {
-    campaign::CampaignRunner runner(1, campaign::ExecutionMode::kProcesses);
-    runner.set_kind_resolver(kinds);
+    campaign::CampaignRunner runner(1, campaign::ExecutionMode::kProcesses,
+                                    kinds);
     for (int j = 0; j < kJobs; ++j) {
-      const std::string label = "job" + std::to_string(j);
-      if (reuse)
-        (void)runner.submit_kind(label, {}, empty, kinds(empty, label));
-      else
-        (void)runner.submit(label, [](campaign::JobContext&) {});
+      (void)runner.submit_kind("job" + std::to_string(j), {}, empty);
+      if (!reuse) runner.wait_idle();
     }
     runner.wait_idle();
   }

@@ -40,11 +40,13 @@ void clear_signal_stop() noexcept {
   g_signal_stop.store(false, std::memory_order_relaxed);
 }
 
-CampaignRunner::CampaignRunner(usize threads, ExecutionMode mode) {
+CampaignRunner::CampaignRunner(usize threads, ExecutionMode mode,
+                               KindResolver kinds)
+    : kinds_(std::move(kinds)) {
   if (mode == ExecutionMode::kProcesses) {
     if (ProcessWorkerPool::fork_available()) {
       mode_ = ExecutionMode::kProcesses;
-      pool_ = std::make_unique<ProcessWorkerPool>();
+      pool_ = std::make_unique<ProcessWorkerPool>(kinds_);
     } else {
       // Graceful degrade, not an error: the campaign still runs, it just
       // loses crash containment. mode() tells callers what they got.
@@ -87,8 +89,27 @@ std::string describe_current_exception() {
   }
 }
 
-void CampaignRunner::set_kind_resolver(KindResolver resolver) {
-  if (pool_ != nullptr) pool_->set_resolver(std::move(resolver));
+std::function<void(JobContext&)> build_kind_body(const KindResolver& kinds,
+                                                 const JobKind& kind,
+                                                 const std::string& label) {
+  std::function<void(JobContext&)> body;
+  if (kinds) body = kinds(kind, label);
+  if (!body)
+    throw std::runtime_error("no job builder registered for kind '" +
+                             kind.name + "'");
+  return body;
+}
+
+std::future<void> CampaignRunner::submit_kind(std::string label,
+                                              JobOptions opt, JobKind kind) {
+  // The body below is thread mode's; process mode sends the kind to the
+  // worker's child instead (run_attempt_in_child).
+  return submit_job(
+      std::move(label), std::move(opt),
+      [this](JobContext& ctx) {
+        build_kind_body(kinds_, *ctx.kind_, ctx.stats_->label)(ctx);
+      },
+      std::move(kind));
 }
 
 usize CampaignRunner::live_children() const {
@@ -351,15 +372,8 @@ u64 JobContext::crash_key() const {
   return opt_.spec != 0 ? opt_.spec : spec_hash(stats_->label);
 }
 
-void JobContext::run_attempts(const std::function<void(JobContext&)>& body,
-                              bool forkable) {
+void JobContext::run_attempts(const std::function<void(JobContext&)>& body) {
   const bool process_mode = runner_->pool_ != nullptr;
-  if (process_mode && !forkable) {
-    mark_failed(
-        "process-mode jobs cannot return a non-default-constructible value; "
-        "read CampaignRunner::stats() instead");
-    throw std::logic_error(stats_->error);
-  }
   const auto quarantine = [this](std::string reason) {
     mark_quarantined(std::move(reason));
     return std::runtime_error("job quarantined: " + stats_->quarantine_reason);
@@ -386,7 +400,7 @@ void JobContext::run_attempts(const std::function<void(JobContext&)>& body,
       throw quarantine("crash-quarantined");
     try {
       if (process_mode) {
-        run_attempt_in_child(body);
+        run_attempt_in_child();
       } else {
         body(*this);
       }
@@ -442,15 +456,13 @@ void JobContext::run_attempts(const std::function<void(JobContext&)>& body,
   }
 }
 
-void JobContext::run_attempt_in_child(
-    const std::function<void(JobContext&)>& body) {
+void JobContext::run_attempt_in_child() {
   ChildRequest req;
   req.index = stats_->index;
   req.label = stats_->label;
   req.attempt = stats_->attempts;
   req.opt = opt_;
   req.kind = *kind_;
-  req.body = body;
   const ChildResult r = runner_->pool_->run_job(*child_, req);
 
   if (r.has_stats) {

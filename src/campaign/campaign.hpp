@@ -25,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -47,16 +48,16 @@ class ProcessWorkerPool;
 ///  * kThreads — in-process, one job per worker thread (the historical
 ///    mode). A job that segfaults, exhausts memory or spins without ever
 ///    reaching a delta boundary takes the whole campaign with it.
-///  * kProcesses — job bodies run in forked children; their JobStats come
-///    back over a socket (worker_pool.hpp) and the parent's supervisor
-///    SIGKILLs hung or runaway children. A worker keeps its child across a
-///    backlog of kind jobs (JobKind) and retires it once its queue is
-///    empty or the child failed; closure jobs get a fresh child per
-///    attempt. Crashes become structured quarantine reasons
-///    ("signal:SIGSEGV", "timeout", "exit:N") instead of campaign deaths.
-///    Falls back to kThreads where fork is unusable
-///    (ThreadSanitizer builds, ADRIATIC_NO_FORK=1) — check mode() after
-///    construction.
+///  * kProcesses — kind jobs (submit_kind) run in forked children, which
+///    build each body from its JobKind; their JobStats come back over a
+///    socket (worker_pool.hpp) and the parent's supervisor SIGKILLs hung or
+///    runaway children. A worker keeps its child across a backlog and
+///    retires it once its queue is empty or the child failed. Crashes
+///    become structured quarantine reasons ("signal:SIGSEGV", "timeout",
+///    "exit:N") instead of campaign deaths. submit() with a function
+///    throws std::logic_error in this mode. Falls back to kThreads where
+///    fork is unusable (ThreadSanitizer builds, ADRIATIC_NO_FORK=1) — check
+///    mode() after construction.
 enum class ExecutionMode { kThreads, kProcesses };
 
 /// Deliberate failure injected into a forked job child *before* its body
@@ -115,20 +116,27 @@ void install_stop_signal_handlers();
 [[nodiscard]] bool signal_stop_requested() noexcept;
 void clear_signal_stop() noexcept;
 
-/// Names a job by its registered kind instead of by a closure: a reused
-/// process-mode child receives this over its socket and rebuilds the body
-/// with the runner's KindResolver.
+/// Names a job by its registered kind: the runner's KindResolver builds the
+/// body from it where the job runs — on the worker thread in kThreads mode,
+/// in the worker's child (sent over its socket) in kProcesses mode.
 struct JobKind {
-  std::string name;    ///< Registry name; empty for a closure job.
+  std::string name;    ///< Registry name.
   std::string params;  ///< Encoded parameters the registry builds from.
 };
 
 class JobContext;
 
 /// Builds the body of a kind job from its kind and label; an empty function
-/// when the kind is unknown or its params are invalid.
+/// when the kind is unknown or its params are invalid. Called once per
+/// attempt, concurrently from every worker thread in kThreads mode.
 using KindResolver = std::function<std::function<void(JobContext&)>(
     const JobKind& kind, const std::string& label)>;
+
+/// The body `kinds` builds for `kind`; throws std::runtime_error ("no job
+/// builder registered for kind '<name>'") when there is none. The one
+/// place a kind job's body is built, in either mode.
+[[nodiscard]] std::function<void(JobContext&)> build_kind_body(
+    const KindResolver& kinds, const JobKind& kind, const std::string& label);
 
 /// Robustness knobs for one submitted job.
 struct JobOptions {
@@ -371,15 +379,13 @@ class JobContext {
   explicit JobContext(JobStats* stats) : stats_(stats) {}
   /// The attempt loop of every submitted job, in either mode: retries and
   /// backs off per JobOptions, and throws once the job fails, is
-  /// quarantined or is interrupted. `forkable` is false when the future
-  /// needs the body's own value; process mode then fails the job before
-  /// forking.
-  void run_attempts(const std::function<void(JobContext&)>& body,
-                    bool forkable);
+  /// quarantined or is interrupted. Thread mode runs `body` per attempt;
+  /// process mode runs the job's kind in this worker's child instead.
+  void run_attempts(const std::function<void(JobContext&)>& body);
   /// One attempt in this worker's child; its JobStats replace this job's
   /// record. Throws WorkerDeathError if the child dies without a result, or
   /// the child's error if its body threw.
-  void run_attempt_in_child(const std::function<void(JobContext&)>& body);
+  void run_attempt_in_child();
   /// run_inline()'s bookkeeping: runs `body` once on this thread and
   /// appends its record to `records`.
   static void run_inline_job(std::string label, std::vector<JobStats>& records,
@@ -424,8 +430,7 @@ using job_result_t =
     decltype(call_job(std::declval<F&>(), std::declval<JobContext&>()));
 
 /// Hands `run` a void(JobContext&) body that calls `fn`, and returns the
-/// value `fn` produced. A body that ran in a forked child leaves none
-/// behind, so R{} stands in for it (see CampaignRunner::submit()).
+/// value `fn` produced.
 template <typename F, typename Run>
 auto run_capturing(F& fn, Run run) {
   using R = job_result_t<F>;
@@ -434,9 +439,6 @@ auto run_capturing(F& fn, Run run) {
   } else {
     std::optional<R> value;
     run([&](JobContext& ctx) { value.emplace(call_job(fn, ctx)); });
-    if constexpr (std::is_default_constructible_v<R>) {
-      if (!value.has_value()) return R{};
-    }
     return std::move(*value);
   }
 }
@@ -447,12 +449,13 @@ class CampaignRunner {
  public:
   /// threads == 0 picks the hardware concurrency (at least 1). With
   /// ExecutionMode::kProcesses each worker thread runs its jobs in a forked
-  /// child, kept across a backlog of kind jobs (see worker_pool.hpp);
-  /// where fork is unusable (ThreadSanitizer builds,
-  /// ADRIATIC_NO_FORK=1) the runner logs a warning and degrades to
-  /// kThreads — check mode() to see what it actually runs.
+  /// child, kept across a backlog (see worker_pool.hpp); where fork is
+  /// unusable (ThreadSanitizer builds, ADRIATIC_NO_FORK=1) the runner logs
+  /// a warning and degrades to kThreads — check mode() to see what it
+  /// actually runs. `kinds` builds the bodies of submit_kind() jobs.
   explicit CampaignRunner(usize threads = 0,
-                          ExecutionMode mode = ExecutionMode::kThreads);
+                          ExecutionMode mode = ExecutionMode::kThreads,
+                          KindResolver kinds = {});
   ~CampaignRunner();
 
   CampaignRunner(const CampaignRunner&) = delete;
@@ -469,10 +472,11 @@ class CampaignRunner {
   /// worker thread and must build its own Simulation (never share kernel
   /// objects across jobs). An exception thrown by `fn` is delivered through
   /// the returned future and flagged in the job's stats; it does not affect
-  /// the pool or other jobs.
+  /// the pool or other jobs. Thread mode only: in kProcesses mode it throws
+  /// std::logic_error before anything is queued or forked.
   template <typename F>
   auto submit(std::string label, F fn) {
-    return submit_job(std::move(label), JobOptions{}, std::move(fn), {});
+    return submit(std::move(label), JobOptions{}, std::move(fn));
   }
 
   /// submit() with robustness options: a failing attempt (exception or
@@ -480,35 +484,28 @@ class CampaignRunner {
   /// whose final attempt still fails on timeout — or that exhausts its
   /// retries on timeouts — is quarantined: its record keeps done == false
   /// with a reason, and the future carries a std::runtime_error.
-  ///
-  /// In kProcesses mode each attempt of a closure job forks: the body runs
-  /// in a child whose JobStats come back over a socket and replace this
-  /// job's record (submit_kind() jobs may reuse a worker's child). The
-  /// future then resolves with a value-initialised R (process boundaries
-  /// can't carry arbitrary return values) — process-mode campaigns read
-  /// runner.stats() / JobStats::user_data instead of futures. A job whose R
-  /// has no default constructor fails before its first fork: the body never
-  /// runs, the record is failed, and the future throws std::logic_error.
-  /// Child deaths (signal, nonzero exit, heartbeat loss) feed the retry
-  /// machinery as structured WorkerFailures and, after
-  /// JobOptions::crash_limit crashes of the same spec, quarantine the job
-  /// with the failure's reason().
   template <typename F>
   auto submit(std::string label, JobOptions opt, F fn) {
+    if (pool_ != nullptr)
+      throw std::logic_error(
+          "CampaignRunner: process mode runs kind jobs only (submit_kind)");
     return submit_job(std::move(label), std::move(opt), std::move(fn), {});
   }
 
-  /// submit() for a job of a registered kind. `body` is what the kind
-  /// resolver builds from (kind, label); in kProcesses mode a worker whose
-  /// child finished its last job cleanly hands this job to that child,
-  /// which rebuilds the body with its own copy of the resolver.
+  /// submit() for a job of a registered kind, in either mode: the resolver
+  /// given at construction builds the body from (kind, label) once per
+  /// attempt, where the attempt runs — on the worker thread in kThreads
+  /// mode, in the worker's child in kProcesses mode (build_kind_body()).
+  ///
+  /// In kProcesses mode a child's JobStats come back over a socket and
+  /// replace this job's record; process-mode campaigns read runner.stats() /
+  /// JobStats::user_data. A worker whose child finished its last job
+  /// cleanly sends it the next one as a job frame. Child deaths (signal,
+  /// nonzero exit, heartbeat loss) feed the retry machinery as structured
+  /// WorkerFailures and, after JobOptions::crash_limit crashes of the same
+  /// spec, quarantine the job with the failure's reason().
   std::future<void> submit_kind(std::string label, JobOptions opt,
-                                JobKind kind,
-                                std::function<void(JobContext&)> body);
-
-  /// The kind registry: how reused children rebuild submit_kind() jobs.
-  /// Set before the first submit(); without one every job forks afresh.
-  void set_kind_resolver(KindResolver resolver);
+                                JobKind kind);
 
   /// Blocks until every submitted job has finished.
   void wait_idle();
@@ -575,13 +572,10 @@ class CampaignRunner {
   template <typename F>
   auto submit_job(std::string label, JobOptions opt, F fn, JobKind kind) {
     using R = detail::job_result_t<F>;
-    constexpr bool kForkable =
-        std::is_void_v<R> || std::is_default_constructible_v<R>;
     auto task = std::make_shared<std::packaged_task<R(JobContext&)>>(
         [f = std::move(fn)](JobContext& ctx) mutable {
-          return detail::run_capturing(f, [&ctx](const auto& body) {
-            ctx.run_attempts(body, kForkable);
-          });
+          return detail::run_capturing(
+              f, [&ctx](const auto& body) { ctx.run_attempts(body); });
         });
     std::future<R> fut = task->get_future();
     enqueue(std::move(label), opt, std::move(kind),
@@ -645,6 +639,7 @@ class CampaignRunner {
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> signal_stop_enabled_{false};
   ExecutionMode mode_ = ExecutionMode::kThreads;
+  const KindResolver kinds_;                 ///< Builds kind job bodies.
   std::unique_ptr<ProcessWorkerPool> pool_;  ///< Non-null in kProcesses mode.
   mutable std::mutex cmu_;                   ///< Guards crash_counts_.
   std::map<u64, u32> crash_counts_;          ///< spec -> child crashes.
@@ -658,13 +653,6 @@ class CampaignRunner {
   bool watchdog_shutdown_ = false;
   std::thread watchdog_;
 };
-
-inline std::future<void> CampaignRunner::submit_kind(
-    std::string label, JobOptions opt, JobKind kind,
-    std::function<void(JobContext&)> body) {
-  return submit_job(std::move(label), std::move(opt), std::move(body),
-                    std::move(kind));
-}
 
 /// Runs one job inline on the calling thread with the same bookkeeping a
 /// pool worker applies — wall-clock timing, JobContext counters, done/failed

@@ -178,7 +178,7 @@ std::string encode_job_request(const ChildRequest& req) {
                 req.opt.debug_exit_code);
 }
 
-/// Inverse of encode_job_request(); body stays empty, nullopt on garbage.
+/// Inverse of encode_job_request(); nullopt on garbage.
 std::optional<ChildRequest> decode_job_request(const std::string& payload) {
   ChildRequest req;
   for (const std::string& t : split(payload, ' ')) {
@@ -195,7 +195,6 @@ std::optional<ChildRequest> decode_job_request(const std::string& payload) {
     else if (key == "dfail") req.opt.debug_failure = static_cast<DebugFailure>(num());
     else if (key == "dexit") req.opt.debug_exit_code = static_cast<int>(num());
   }
-  if (req.kind.name.empty()) return std::nullopt;
   return req;
 }
 
@@ -274,7 +273,8 @@ bool ProcessWorkerPool::fork_available() noexcept {
   return true;
 }
 
-ProcessWorkerPool::ProcessWorkerPool() {
+ProcessWorkerPool::ProcessWorkerPool(KindResolver kinds)
+    : kinds_(std::move(kinds)) {
   supervisor_ = std::thread([this] { supervisor_loop(); });
 }
 
@@ -355,7 +355,7 @@ void ProcessWorkerPool::supervisor_loop() {
   }
 }
 
-void ProcessWorkerPool::serve_job(const ChildRequest& req, int fd) {
+void ProcessWorkerPool::serve_job(const ChildRequest& req, int fd) const {
   set_heartbeats(true);
   // Deliberate failures for crash-containment tests, injected before the
   // body so containment (not the simulation) is what gets exercised.
@@ -403,10 +403,7 @@ void ProcessWorkerPool::serve_job(const ChildRequest& req, int fd) {
   const auto t0 = std::chrono::steady_clock::now();
   try {
     const mem::JobMemory::Scope memory(ctx.memory_);
-    if (!req.body)
-      throw std::runtime_error("no job builder registered for kind '" +
-                               req.kind.name + "'");
-    req.body(ctx);
+    build_kind_body(kinds_, req.kind, req.label)(ctx);
   } catch (const mem::BudgetExceededError&) {
     // A structured verdict, not a crash: the child reports a
     // `budget-quarantined` result instead of dying to the OOM killer.
@@ -459,7 +456,6 @@ void ProcessWorkerPool::child_main(const ChildRequest& first, int fd) {
     const auto frame = read_until(fd, decoder, kFrameJob, [] {});
     auto req = frame ? decode_job_request(frame->payload) : std::nullopt;
     if (!req) break;
-    req->body = resolver_(req->kind, req->label);
     serve_job(*req, fd);
   }
   // _exit, not exit: atexit handlers and static destructors belong to the
@@ -520,8 +516,6 @@ void ProcessWorkerPool::retire(WorkerChild& child) {
 
 ChildResult ProcessWorkerPool::run_job(WorkerChild& child,
                                        const ChildRequest& req) {
-  const bool kind_job = !req.kind.name.empty() && resolver_ != nullptr;
-  if (child.alive() && !kind_job) retire(child);
   if (child.alive()) {
     const std::string frame =
         encode_frame(kFrameJob, encode_job_request(req));
@@ -547,7 +541,7 @@ ChildResult ProcessWorkerPool::run_job(WorkerChild& child,
     r.stats = decode_job_stats(result->payload);
     const bool clean = verdict.kind == WorkerFailure::Kind::kNone &&
                        !r.stats.failed && !r.stats.quarantined;
-    if (!clean || !kind_job || child.jobs >= kJobsPerChild) retire(child);
+    if (!clean || child.jobs >= kJobsPerChild) retire(child);
     return r;
   }
   // EOF: the child is gone or going. A corrupt stream is a protocol

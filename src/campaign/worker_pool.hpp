@@ -8,21 +8,21 @@
 // keeps fork()-from-a-threaded-parent on the well-trodden glibc path and
 // works under sanitizers that veto threads after fork.
 //
+// Every job names a registered kind (JobKind), and the child builds its
+// body from the kind with the pool's KindResolver (build_kind_body()): a
+// fresh child's first job as it arrives through fork(), every later job as
+// it arrives in a job frame (kind, label, encoded params, index, attempt,
+// debug options).
+//
 // Child lifetime. A worker keeps its child only while it holds a job: when
-// a job of a registered kind (JobKind) ends cleanly and the worker's next
-// queued job is also a kind job, that job goes to the same child as a job
-// frame (kind, label, encoded params, index, attempt, debug options), and
-// the child rebuilds the body from its own copy of the kind registry (the
-// pool's KindResolver, fixed before the first fork). The first job of a
-// child arrives through fork() itself, since its body is already in the
-// child's memory. A child is retired — EOF on its socket, then reaped —
-// when its worker finds the queue empty, after any outcome other than a
-// clean result (thrown body, budget quarantine, signal, timeout, lost
-// heartbeat, protocol error), after kJobsPerChild jobs, and before a
-// closure job, which always runs in a fresh fork and never gets a second
-// frame. So live_children() is 0 whenever the pool is idle, a child's copy
-// of parent state is never older than one backlog, and RUSAGE_CHILDREN
-// charges each child's CPU to the backlog that used it.
+// a job ends cleanly and the worker has another one queued, that job goes
+// to the same child as a job frame. A child is retired — EOF on its
+// socket, then reaped — when its worker finds the queue empty, after any
+// outcome other than a clean result (thrown body, budget quarantine,
+// signal, timeout, lost heartbeat, protocol error), and after
+// kJobsPerChild jobs. So live_children() is 0 whenever the pool is idle, a
+// child's copy of parent state is never older than one backlog, and
+// RUSAGE_CHILDREN charges each child's CPU to the backlog that used it.
 //
 // A child closes every inherited descriptor except stdio and its own
 // socket end: listen and client sockets, journal and cache files, and the
@@ -100,16 +100,16 @@ class FrameDecoder {
 /// the backlog.
 inline constexpr u32 kJobsPerChild = 64;
 
-/// Everything one attempt needs. `body` runs in a freshly forked child; a
-/// reused child gets the rest as a job frame and rebuilds the body itself.
+/// Everything one attempt needs: a fresh child inherits it through fork(),
+/// a reused one receives it as a job frame; either builds the body from
+/// `kind`.
 struct ChildRequest {
   usize index = 0;
   std::string label;
   u32 attempt = 1;  ///< Parent's attempt counter, so the child's
                     ///< JobContext::attempt() matches thread mode.
   JobOptions opt;
-  JobKind kind;  ///< Empty name: a closure job (fresh fork only).
-  std::function<void(JobContext&)> body;
+  JobKind kind;
 };
 
 /// What came back from one attempt: a decoded JobStats when the child
@@ -133,7 +133,9 @@ struct WorkerChild {
 
 class ProcessWorkerPool {
  public:
-  ProcessWorkerPool();
+  /// `kinds` is how children build job bodies; each child keeps the copy
+  /// it was forked with.
+  explicit ProcessWorkerPool(KindResolver kinds);
   ~ProcessWorkerPool();
 
   ProcessWorkerPool(const ProcessWorkerPool&) = delete;
@@ -145,16 +147,12 @@ class ProcessWorkerPool {
   /// CampaignRunner consults this and falls back to kThreads.
   [[nodiscard]] static bool fork_available() noexcept;
 
-  /// How reused children rebuild kind jobs. Set before the first fork: each
-  /// child keeps the copy it was forked with.
-  void set_resolver(KindResolver resolver) { resolver_ = std::move(resolver); }
-
   /// Runs one attempt in `child`, blocking the calling worker thread until
   /// the child delivers a result or dies. A live child gets the job as a
-  /// frame if it is a kind job; otherwise the live child is retired and a
-  /// fresh one forked. Afterwards `child` is still alive only if the job was
-  /// a kind job with a clean result and the child has jobs left. Thread-
-  /// safe: one concurrent call per worker thread (each with its own child).
+  /// frame; otherwise a fresh one is forked for it. Afterwards `child` is
+  /// still alive only if the job had a clean result and the child has jobs
+  /// left. Thread-safe: one concurrent call per worker thread (each with
+  /// its own child).
   [[nodiscard]] ChildResult run_job(WorkerChild& child,
                                     const ChildRequest& req);
 
@@ -180,8 +178,8 @@ class ProcessWorkerPool {
     WorkerFailure verdict;  ///< kind != kNone once the supervisor acted.
   };
 
-  /// Child side: runs one job and writes its result frame.
-  static void serve_job(const ChildRequest& req, int fd);
+  /// Child side: builds and runs one job and writes its result frame.
+  void serve_job(const ChildRequest& req, int fd) const;
   /// Serves jobs in the forked child, starting with `first`; never returns.
   [[noreturn]] void child_main(const ChildRequest& first, int fd);
   /// Forks a child for `req` into `child`; false if socketpair or fork failed.
@@ -195,7 +193,7 @@ class ProcessWorkerPool {
   /// Ends the job's checks and returns the supervisor's verdict on it.
   WorkerFailure disarm(u64 token);
 
-  KindResolver resolver_;
+  const KindResolver kinds_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<u64, ChildWatch> children_;

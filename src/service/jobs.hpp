@@ -136,8 +136,9 @@ using KindRegistry = std::vector<std::pair<std::string, JobBuilder>>;
 [[nodiscard]] const JobBuilder* find_kind(const KindRegistry& kinds,
                                           const std::string& name);
 
-/// The CampaignRunner's resolver over `kinds`: how a reused process-mode
-/// child rebuilds a job from its kind, label and encoded params.
+/// The CampaignRunner's resolver over `kinds`: how a job's body is built
+/// from its kind, label and encoded params, on the worker thread or in the
+/// process-mode child that runs it.
 [[nodiscard]] campaign::KindResolver kind_resolver(KindRegistry kinds);
 
 /// The robustness policy every job runs under, on campaignd and in local

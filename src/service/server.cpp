@@ -73,10 +73,12 @@ bool CampaignServer::start() {
     }
   }
 
+  // kinds_ is final from here on (register_kind() precedes start()).
   runner_ = std::make_unique<campaign::CampaignRunner>(
       opt_.threads != 0 ? opt_.threads : campaign::default_thread_count(),
       opt_.processes ? campaign::ExecutionMode::kProcesses
-                     : campaign::ExecutionMode::kThreads);
+                     : campaign::ExecutionMode::kThreads,
+      kind_resolver(kinds_));
   // The hook is the streaming point: it fires after the record commit
   // (futures resolve before it), on the worker thread, outside the runner's
   // locks — exactly what a push to a socket needs.
@@ -84,8 +86,6 @@ bool CampaignServer::start() {
       [this](const JobStats& stats) { on_job_complete(stats); });
   runner_->enable_signal_stop();
   if (journal_ != nullptr) runner_->set_journal(journal_.get());
-  // kinds_ is final from here on (register_kind() precedes start()).
-  runner_->set_kind_resolver(kind_resolver(kinds_));
 
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -254,8 +254,8 @@ void CampaignServer::handle_submit(const std::shared_ptr<Connection>& conn,
                "no job builder registered for kind '" + req.kind + "'");
     return;
   }
-  auto body = (*builder)(req.label, decode_params(req.params));
-  if (!body.has_value()) {
+  // Built once here only to validate; the runner builds the body it runs.
+  if (!(*builder)(req.label, decode_params(req.params)).has_value()) {
     send_error(conn, req.id, ErrorCode::kBadRequest,
                "invalid params for kind '" + req.kind + "'");
     return;
@@ -322,8 +322,7 @@ void CampaignServer::handle_submit(const std::shared_ptr<Connection>& conn,
     // The future is deliberately dropped: failures come back through the
     // committed JobStats (failed/quarantined) and stream out via the
     // completion hook like any other result.
-    (void)runner_->submit_kind(req.label, o, {req.kind, req.params},
-                               std::move(*body));
+    (void)runner_->submit_kind(req.label, o, {req.kind, req.params});
     send_frame(conn, encode_ok(req.id, static_cast<u64>(index), false));
   }
 }

@@ -214,14 +214,20 @@ class Session {
       }
     }
 
-    std::vector<std::optional<JobBody>> bodies(n);
+    // Invalid params refuse the sweep before anything runs; the runner
+    // builds each body again where the job runs.
     for (usize i = 0; i < n; ++i)
-      if (rerun[i] && !(bodies[i] = body(i)).has_value()) return false;
+      if (rerun[i] && !body(i).has_value()) return false;
 
+    // The runner builds bodies from the same kinds as body() does.
+    KindRegistry kinds = opt_.kinds;
+    for (const LocalKind& lk : opt_.local_kinds)
+      kinds.emplace_back(lk.name, lk.build);
     campaign::CampaignRunner runner(
         opt_.threads != 0 ? opt_.threads : campaign::default_thread_count(),
         opt_.processes ? campaign::ExecutionMode::kProcesses
-                       : campaign::ExecutionMode::kThreads);
+                       : campaign::ExecutionMode::kThreads,
+        kind_resolver(std::move(kinds)));
     r_.threads = runner.thread_count();
     if (opt_.processes && runner.mode() != campaign::ExecutionMode::kProcesses)
       note(opt_.campaign,
@@ -232,11 +238,6 @@ class Session {
     campaign::install_stop_signal_handlers();
     runner.enable_signal_stop();
     if (journal != nullptr) runner.set_journal(journal.get());
-    // Reused children rebuild jobs from the same kinds as body() does.
-    KindRegistry kinds = opt_.kinds;
-    for (const LocalKind& lk : opt_.local_kinds)
-      kinds.emplace_back(lk.name, lk.build);
-    runner.set_kind_resolver(kind_resolver(std::move(kinds)));
     for (usize i = 0; i < n; ++i) {
       if (!rerun[i]) continue;
       campaign::JobOptions o =
@@ -245,8 +246,7 @@ class Session {
       o.spec = jobs_[i].spec;
       // Outcomes come back through runner.stats(), in every mode.
       (void)runner.submit_kind(
-          jobs_[i].label, o, {jobs_[i].kind, encode_params(jobs_[i].params)},
-          std::move(*bodies[i]));
+          jobs_[i].label, o, {jobs_[i].kind, encode_params(jobs_[i].params)});
     }
     runner.wait_idle();
     if (journal != nullptr) journal->flush();

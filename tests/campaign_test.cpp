@@ -18,8 +18,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <latch>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -757,22 +759,40 @@ TEST(CampaignTest, OverlappingThreadJobsReportTheirSerialPeak) {
                       "in this build/environment";         \
   } while (0)
 
+using Body = std::function<void(JobContext&)>;
+
+/// A resolver over fixed bodies, looked up by kind name (params unused).
+KindResolver kinds_of(std::map<std::string, Body> bodies) {
+  return [bodies = std::move(bodies)](const JobKind& kind,
+                                      const std::string&) -> Body {
+    const auto it = bodies.find(kind.name);
+    return it == bodies.end() ? Body{} : it->second;
+  };
+}
+
+/// A body that does nothing: the debug failure is the whole job.
+const JobKind kNoop{"noop", ""};
+const KindResolver kNoopKinds = kinds_of({{"noop", [](JobContext&) {}}});
+
 TEST(CampaignTest, SegfaultingChildIsQuarantinedWithSignalReason) {
   ADRIATIC_SKIP_WITHOUT_FORK();
-  CampaignRunner runner(2, ExecutionMode::kProcesses);
+  CampaignRunner runner(
+      2, ExecutionMode::kProcesses,
+      kinds_of({{"noop", [](JobContext&) {}},
+                {"sim", [](JobContext& ctx) {
+                   kern::Simulation sim;
+                   kern::Module top(sim, "top");
+                   top.spawn_thread("t", [] { kern::wait(Time::ns(5)); });
+                   sim.run();
+                   ctx.record(sim);
+                 }}}));
   ASSERT_EQ(runner.mode(), ExecutionMode::kProcesses);
   JobOptions opt;
   opt.debug_failure = DebugFailure::kSegv;
   opt.max_attempts = 2;
-  auto crash = runner.submit("crash", opt, [](JobContext&) {});
+  auto crash = runner.submit_kind("crash", opt, kNoop);
   // A well-behaved sibling in its own child is untouched by the crash.
-  auto good = runner.submit("good", [](JobContext& ctx) {
-    kern::Simulation sim;
-    kern::Module top(sim, "top");
-    top.spawn_thread("t", [] { kern::wait(Time::ns(5)); });
-    sim.run();
-    ctx.record(sim);
-  });
+  auto good = runner.submit_kind("good", {}, {"sim", ""});
   EXPECT_THROW(crash.get(), std::runtime_error);
   good.get();
   runner.wait_idle();
@@ -788,47 +808,23 @@ TEST(CampaignTest, SegfaultingChildIsQuarantinedWithSignalReason) {
   EXPECT_EQ(stats[1].worker_deaths, 0u);
 }
 
-/// A result with no default constructor: nothing can stand in for a value
-/// that stayed in a process-mode child.
-struct NoDefault {
-  explicit NoDefault(int v) : value(v) {}
-  int value;
-};
-
-TEST(CampaignTest, ProcessModeValueWithoutDefaultFailsBeforeForking) {
+TEST(CampaignTest, ProcessModeSubmitThrowsBeforeForking) {
   ADRIATIC_SKIP_WITHOUT_FORK();
-  // Every body run appends a byte: children share the file, not memory.
-  const std::string runs = testing::TempDir() + "adriatic_no_default_runs";
-  std::remove(runs.c_str());
-  const auto body = [&runs] {
-    const int fd = ::open(runs.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd >= 0) {
-      (void)!::write(fd, "x", 1);
-      ::close(fd);
-    }
-    return NoDefault(7);
-  };
+  // A forked child builds its job from a kind; a function has none, so it
+  // is refused before anything is queued or forked.
   CampaignRunner runner(1, ExecutionMode::kProcesses);
+  EXPECT_THROW((void)runner.submit("value", [] { return 7; }),
+               std::logic_error);
   JobOptions opt;
   opt.max_attempts = 3;
-  auto fut = runner.submit("no-default", opt, body);
-  EXPECT_THROW(fut.get(), std::logic_error);
+  EXPECT_THROW((void)runner.submit("void", opt, [](JobContext&) {}),
+               std::logic_error);
   runner.wait_idle();
-  std::ifstream in(runs, std::ios::binary | std::ios::ate);
-  EXPECT_EQ(in ? static_cast<long>(in.tellg()) : 0L, 0L) << "body ran";
-  const auto stats = runner.stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_TRUE(stats[0].failed);
-  EXPECT_FALSE(stats[0].quarantined);
-  EXPECT_EQ(stats[0].attempts, 1u);
-  EXPECT_NE(stats[0].error.find("non-default-constructible"),
-            std::string::npos);
-  EXPECT_EQ(stats[0].worker_deaths, 0u);
+  EXPECT_TRUE(runner.stats().empty());
   EXPECT_EQ(runner.live_children(), 0u);
-  // Thread mode has the value itself and delivers it.
-  CampaignRunner threads(1);
-  EXPECT_EQ(threads.submit("no-default", opt, body).get().value, 7);
-  std::remove(runs.c_str());
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);  // nothing was forked
+  EXPECT_EQ(errno, ECHILD);
 }
 
 // Recurses until the guard page under the fiber stack stops it.
@@ -845,26 +841,32 @@ TEST(CampaignTest, FiberStackOverflowIsQuarantinedAndNamed) {
   // child names the process on stderr, dies by SIGSEGV, and is quarantined,
   // while the rest of the sweep runs clean in its own children.
   testing::internal::CaptureStderr();
-  CampaignRunner runner(2, ExecutionMode::kProcesses);
+  const KindResolver kinds = [](const JobKind& kind,
+                                const std::string&) -> Body {
+    if (kind.name == "overflow")
+      return [](JobContext&) {
+        kern::Simulation sim;
+        kern::Module top(sim, "top");
+        kern::SpawnOptions small;
+        small.stack_bytes = 64 * 1024;
+        top.spawn_thread("deep", [] { (void)recurse_forever(0); }, small);
+        sim.run();
+      };
+    return [seed = std::stoull(kind.params)](JobContext& ctx) {
+      const auto d = run_seeded_sim(seed);
+      ctx.record_user_data(std::to_string(d.back()));
+    };
+  };
+  CampaignRunner runner(2, ExecutionMode::kProcesses, kinds);
   ASSERT_EQ(runner.mode(), ExecutionMode::kProcesses);
   constexpr u64 kSeeds[] = {3, 7, 11};
   std::vector<std::future<void>> good;
   for (const u64 seed : kSeeds)
-    good.push_back(runner.submit("seed" + std::to_string(seed),
-                                 [seed](JobContext& ctx) {
-                                   const auto d = run_seeded_sim(seed);
-                                   ctx.record_user_data(std::to_string(d.back()));
-                                 }));
+    good.push_back(runner.submit_kind("seed" + std::to_string(seed), {},
+                                      {"seed", std::to_string(seed)}));
   JobOptions opt;
   opt.max_attempts = 1;
-  auto overflow = runner.submit("overflow", opt, [](JobContext&) {
-    kern::Simulation sim;
-    kern::Module top(sim, "top");
-    kern::SpawnOptions small;
-    small.stack_bytes = 64 * 1024;
-    top.spawn_thread("deep", [] { (void)recurse_forever(0); }, small);
-    sim.run();
-  });
+  auto overflow = runner.submit_kind("overflow", opt, {"overflow", ""});
   EXPECT_THROW(overflow.get(), std::runtime_error);
   for (auto& f : good) f.get();
   runner.wait_idle();
@@ -888,12 +890,12 @@ TEST(CampaignTest, FiberStackOverflowIsQuarantinedAndNamed) {
 
 TEST(CampaignTest, SpinningChildIsKilledByWallDeadline) {
   ADRIATIC_SKIP_WITHOUT_FORK();
-  CampaignRunner runner(1, ExecutionMode::kProcesses);
+  CampaignRunner runner(1, ExecutionMode::kProcesses, kNoopKinds);
   JobOptions opt;
   opt.debug_failure = DebugFailure::kHangCpu;  // heartbeats keep flowing
   opt.wall_timeout_seconds = 0.3;
   opt.heartbeat_timeout_seconds = 10.0;
-  auto hung = runner.submit("hung", opt, [](JobContext&) {});
+  auto hung = runner.submit_kind("hung", opt, kNoop);
   EXPECT_THROW(hung.get(), std::runtime_error);
   runner.wait_idle();
   const auto stats = runner.stats();
@@ -906,11 +908,11 @@ TEST(CampaignTest, SpinningChildIsKilledByWallDeadline) {
 
 TEST(CampaignTest, SilentChildIsKilledByHeartbeatTimeout) {
   ADRIATIC_SKIP_WITHOUT_FORK();
-  CampaignRunner runner(1, ExecutionMode::kProcesses);
+  CampaignRunner runner(1, ExecutionMode::kProcesses, kNoopKinds);
   JobOptions opt;
   opt.debug_failure = DebugFailure::kHangSleep;  // blocks its heartbeats
   opt.heartbeat_timeout_seconds = 0.3;
-  auto silent = runner.submit("silent", opt, [](JobContext&) {});
+  auto silent = runner.submit_kind("silent", opt, kNoop);
   EXPECT_THROW(silent.get(), std::runtime_error);
   runner.wait_idle();
   const auto stats = runner.stats();
@@ -921,11 +923,11 @@ TEST(CampaignTest, SilentChildIsKilledByHeartbeatTimeout) {
 
 TEST(CampaignTest, NonZeroExitChildQuarantinesWithExitReason) {
   ADRIATIC_SKIP_WITHOUT_FORK();
-  CampaignRunner runner(1, ExecutionMode::kProcesses);
+  CampaignRunner runner(1, ExecutionMode::kProcesses, kNoopKinds);
   JobOptions opt;
   opt.debug_failure = DebugFailure::kExitCode;
   opt.debug_exit_code = 42;
-  auto gone = runner.submit("gone", opt, [](JobContext&) {});
+  auto gone = runner.submit_kind("gone", opt, kNoop);
   EXPECT_THROW(gone.get(), std::runtime_error);
   runner.wait_idle();
   const auto stats = runner.stats();
@@ -936,16 +938,16 @@ TEST(CampaignTest, NonZeroExitChildQuarantinesWithExitReason) {
 
 TEST(CampaignTest, RepeatCrasherSpecIsCrashQuarantined) {
   ADRIATIC_SKIP_WITHOUT_FORK();
-  CampaignRunner runner(1, ExecutionMode::kProcesses);
+  CampaignRunner runner(1, ExecutionMode::kProcesses, kNoopKinds);
   JobOptions opt;
   opt.spec = spec_hash("crasher");
   opt.debug_failure = DebugFailure::kSegv;
   opt.crash_limit = 2;
   opt.max_attempts = 5;  // quarantine must trip before retries run out
-  auto first = runner.submit("crasher", opt, [](JobContext&) {});
+  auto first = runner.submit_kind("crasher", opt, kNoop);
   EXPECT_THROW(first.get(), std::runtime_error);
   // The same spec resubmitted never forks again: instant quarantine.
-  auto second = runner.submit("crasher again", opt, [](JobContext&) {});
+  auto second = runner.submit_kind("crasher again", opt, kNoop);
   EXPECT_THROW(second.get(), std::runtime_error);
   runner.wait_idle();
   const auto stats = runner.stats();
@@ -968,15 +970,19 @@ TEST(CampaignTest, OverBudgetChildCarriesVerdictAcrossThePipe) {
   BudgetLimitGuard guard;
   auto& budget = mem::MemoryBudget::instance();
   mem::ImageRegistry::instance().drop_unused();
-  CampaignRunner runner(1, ExecutionMode::kProcesses);
+  CampaignRunner runner(1, ExecutionMode::kProcesses,
+                        kinds_of({{"over", [](JobContext&) {
+                                     kern::Simulation sim;
+                                     kern::Module top(sim, "top");
+                                     mem::Memory m(top, "big", 0,
+                                                   64 * mem::kPageWords);
+                                     for (usize p = 0; p < 64; ++p)
+                                       m.poke(static_cast<bus::addr_t>(
+                                                  p * mem::kPageWords),
+                                              1);
+                                   }}}));
   budget.set_limit_bytes(budget.resident_bytes() + 4 * mem::kPageBytes);
-  auto over = runner.submit("over", [](JobContext&) {
-    kern::Simulation sim;
-    kern::Module top(sim, "top");
-    mem::Memory m(top, "big", 0, 64 * mem::kPageWords);
-    for (usize p = 0; p < 64; ++p)
-      m.poke(static_cast<bus::addr_t>(p * mem::kPageWords), 1);
-  });
+  auto over = runner.submit_kind("over", {}, {"over", ""});
   EXPECT_THROW(over.get(), std::runtime_error);
   runner.wait_idle();
   const auto stats = runner.stats();
@@ -993,23 +999,24 @@ TEST(CampaignTest, OverBudgetChildCarriesVerdictAcrossThePipe) {
 TEST(CampaignTest, ProcessModeMatchesThreadModeBitExact) {
   ADRIATIC_SKIP_WITHOUT_FORK();
   constexpr u64 kSeeds[] = {3, 7, 11, 13};
-  const auto body = [](u64 seed, JobContext& ctx) {
-    const auto digest = run_seeded_sim(seed);
-    u64 fold = 1469598103934665603ull;
-    for (const u64 v : digest) {
-      fold ^= v;
-      fold *= 1099511628211ull;
-    }
-    ctx.record_digest(fold);
-    ctx.record_user_data(std::to_string(fold));
+  const KindResolver kinds = [](const JobKind& kind, const std::string&) {
+    return Body([seed = std::stoull(kind.params)](JobContext& ctx) {
+      const auto digest = run_seeded_sim(seed);
+      u64 fold = 1469598103934665603ull;
+      for (const u64 v : digest) {
+        fold ^= v;
+        fold *= 1099511628211ull;
+      }
+      ctx.record_digest(fold);
+      ctx.record_user_data(std::to_string(fold));
+    });
   };
   const auto sweep = [&](ExecutionMode mode) {
-    CampaignRunner runner(2, mode);
+    CampaignRunner runner(2, mode, kinds);
     std::vector<std::future<void>> futures;
     for (const u64 seed : kSeeds)
-      futures.push_back(runner.submit(
-          "seed" + std::to_string(seed),
-          [&body, seed](JobContext& ctx) { body(seed, ctx); }));
+      futures.push_back(runner.submit_kind("seed" + std::to_string(seed), {},
+                                           {"seed", std::to_string(seed)}));
     for (auto& f : futures) f.get();
     runner.wait_idle();
     return runner.stats();
@@ -1029,12 +1036,14 @@ TEST(CampaignTest, ChildFailureReplaysThreadRetrySemantics) {
   ADRIATIC_SKIP_WITHOUT_FORK();
   // A child whose body *throws* (no crash) reports the failure over the
   // pipe; the parent replays thread-mode retry semantics on it.
-  CampaignRunner runner(1, ExecutionMode::kProcesses);
+  CampaignRunner runner(1, ExecutionMode::kProcesses,
+                        kinds_of({{"flaky", [](JobContext& ctx) {
+                                     if (ctx.attempt() < 3)
+                                       throw std::runtime_error("transient");
+                                   }}}));
   JobOptions opt;
   opt.max_attempts = 3;
-  auto flaky = runner.submit("flaky", opt, [](JobContext& ctx) {
-    if (ctx.attempt() < 3) throw std::runtime_error("transient");
-  });
+  auto flaky = runner.submit_kind("flaky", opt, {"flaky", ""});
   flaky.get();
   runner.wait_idle();
   const auto stats = runner.stats();
@@ -1064,12 +1073,12 @@ TEST(CampaignTest, StopHandlersDoNotLeakIntoChildrenAndNoZombiesRemain) {
   // by the signal and the supervisor reports it.
   install_stop_signal_handlers();
   clear_signal_stop();
-  CampaignRunner runner(1, ExecutionMode::kProcesses);
+  CampaignRunner runner(
+      1, ExecutionMode::kProcesses,
+      kinds_of({{"selfterm", [](JobContext&) { std::raise(SIGTERM); }}}));
   JobOptions opt;
   opt.max_attempts = 1;
-  auto f = runner.submit("selfterm", opt, [](JobContext&) {
-    std::raise(SIGTERM);
-  });
+  auto f = runner.submit_kind("selfterm", opt, {"selfterm", ""});
   EXPECT_THROW(f.get(), std::runtime_error);
   runner.wait_idle();
   const auto stats = runner.stats();
@@ -1093,12 +1102,12 @@ TEST(CampaignTest, WorkerDeathsLandInJournalAndReport) {
     auto journal = CampaignJournal::create(path, "death_sweep");
     ASSERT_NE(journal, nullptr);
     journal->record_planned(0, spec_hash("crash"), "crash");
-    CampaignRunner runner(1, ExecutionMode::kProcesses);
+    CampaignRunner runner(1, ExecutionMode::kProcesses, kNoopKinds);
     runner.set_journal(journal.get());
     JobOptions opt;
     opt.debug_failure = DebugFailure::kSegv;
     opt.max_attempts = 1;
-    auto f = runner.submit("crash", opt, [](JobContext&) {});
+    auto f = runner.submit_kind("crash", opt, kNoop);
     EXPECT_THROW(f.get(), std::runtime_error);
     runner.wait_idle();
     const std::string json =
@@ -1170,43 +1179,51 @@ std::string open_fds() {
   return out;
 }
 
-/// A two-kind registry: "pid" notes the running child in slot <params>,
-/// "fds" also lists the child's open descriptors in user_data. The prefix
-/// "gated-" makes a job wait for PidLog::release() first.
+/// The registry of the child-reuse tests. Every kind notes the running
+/// child in slot <params> (attempt a of "flaky" in slot <params> + a - 1):
+///   * "pid" does nothing else;
+///   * "fds" lists the child's open descriptors in user_data;
+///   * "where" records in user_data whether its body runs in the process
+///     that built it ("built here");
+///   * "flaky" throws on attempts 1 and 2.
+/// The prefix "gated-" makes a job wait for PidLog::release() first.
 KindResolver test_kinds(PidLog& log) {
-  return [&log](const JobKind& kind,
-                const std::string&) -> std::function<void(JobContext&)> {
+  return [&log](const JobKind& kind, const std::string&) -> Body {
     const usize slot = std::stoul(kind.params);
     const bool gated = kind.name.starts_with("gated-");
     const std::string name = kind.name.substr(gated ? 6 : 0);
-    if (name != "pid" && name != "fds") return {};
-    return [&log, slot, gated, fds = name == "fds"](JobContext& ctx) {
+    if (name != "pid" && name != "fds" && name != "where" && name != "flaky")
+      return {};
+    return [&log, slot, gated, name, built = ::getpid()](JobContext& ctx) {
       if (gated) log.await_release();
+      if (name == "flaky") {
+        log.note(slot + ctx.attempt() - 1);
+        if (ctx.attempt() < 3) throw std::runtime_error("transient");
+        return;
+      }
       log.note(slot);
-      if (fds) ctx.record_user_data(open_fds());
+      if (name == "fds") ctx.record_user_data(open_fds());
+      if (name == "where")
+        ctx.record_user_data(built == ::getpid() ? "built here"
+                                                 : "built elsewhere");
     };
   };
 }
 
-/// Submits a kind job the way the sweep session does: the body the
-/// resolver builds, plus the kind for a reused child to rebuild it.
-std::future<void> submit_test_kind(CampaignRunner& runner,
-                                   const KindResolver& kinds, usize slot,
+/// Submits job <name><slot> of kind <name> with params <slot>.
+std::future<void> submit_test_kind(CampaignRunner& runner, usize slot,
                                    JobOptions opt = {},
                                    const std::string& name = "pid") {
-  const JobKind kind{name, std::to_string(slot)};
-  const std::string label = name + std::to_string(slot);
-  return runner.submit_kind(label, opt, kind, kinds(kind, label));
+  return runner.submit_kind(name + std::to_string(slot), opt,
+                            {name, std::to_string(slot)});
 }
 
 TEST(ChildReuseTest, KindJobsOfABacklogShareOneChild) {
   ADRIATIC_SKIP_WITHOUT_FORK();
   PidLog log;
-  const KindResolver kinds = test_kinds(log);
-  CampaignRunner runner(1, ExecutionMode::kProcesses);
-  runner.set_kind_resolver(kinds);
-  (void)submit_test_kind(runner, kinds, 0, {}, "gated-pid");
-  for (usize i = 1; i < 6; ++i) (void)submit_test_kind(runner, kinds, i);
+  CampaignRunner runner(1, ExecutionMode::kProcesses, test_kinds(log));
+  (void)submit_test_kind(runner, 0, {}, "gated-pid");
+  for (usize i = 1; i < 6; ++i) (void)submit_test_kind(runner, i);
   log.release();
   runner.wait_idle();
   for (const JobStats& s : runner.stats()) EXPECT_TRUE(s.done) << s.label;
@@ -1218,45 +1235,120 @@ TEST(ChildReuseTest, KindJobsOfABacklogShareOneChild) {
   EXPECT_EQ(errno, ECHILD);
 }
 
-TEST(ChildReuseTest, ClosureJobsForkOncePerAttempt) {
+TEST(ChildReuseTest, ThrownAttemptsRetryInFreshChildren) {
   ADRIATIC_SKIP_WITHOUT_FORK();
+  // The flaky job queues behind a gated one, so its first attempt is a job
+  // frame to the live child; each attempt that throws retires that child,
+  // and the next attempt runs in a fresh one.
   PidLog log;
-  const KindResolver kinds = test_kinds(log);
-  CampaignRunner runner(1, ExecutionMode::kProcesses);
-  runner.set_kind_resolver(kinds);
+  CampaignRunner runner(1, ExecutionMode::kProcesses, test_kinds(log));
   JobOptions opt;
   opt.max_attempts = 3;
-  // Attempts 1 and 2 throw; each attempt notes its child in slot attempt.
-  (void)runner.submit("flaky", opt, [&log](JobContext& ctx) {
-    log.note(ctx.attempt());
-    if (ctx.attempt() < 3) throw std::runtime_error("transient");
-  });
-  // A kind job after a closure job, then closure jobs after a kind job.
-  (void)submit_test_kind(runner, kinds, 4);
-  (void)runner.submit("closure5", [&log](JobContext&) { log.note(5); });
-  (void)runner.submit("closure6", [&log](JobContext&) { log.note(6); });
+  (void)submit_test_kind(runner, 0, {}, "gated-pid");
+  (void)submit_test_kind(runner, 1, opt, "flaky");  // slots 1, 2, 3
+  log.release();
+  runner.wait_idle();
+  const auto stats = runner.stats();
+  ASSERT_EQ(stats.size(), 2u);
+  for (const JobStats& s : stats) EXPECT_TRUE(s.done) << s.label;
+  EXPECT_EQ(stats[1].attempts, 3u);
+  EXPECT_EQ(stats[1].worker_deaths, 0u);
+  EXPECT_EQ(log[1], log[0]);  // the first attempt reused the child
+  EXPECT_NE(log[2], log[1]);
+  EXPECT_NE(log[3], log[1]);
+  EXPECT_NE(log[3], log[2]);
+  EXPECT_EQ(runner.live_children(), 0u);
+}
+
+TEST(ChildReuseTest, EveryChildBuildsItsOwnBodies) {
+  ADRIATIC_SKIP_WITHOUT_FORK();
+  // A fresh child's first job and a reused child's later jobs alike: the
+  // body is built in the child that runs it, never in the parent.
+  PidLog log;
+  CampaignRunner runner(1, ExecutionMode::kProcesses, test_kinds(log));
+  (void)submit_test_kind(runner, 0, {}, "gated-where");
+  for (usize i = 1; i < 4; ++i) (void)submit_test_kind(runner, i, {}, "where");
+  log.release();
   runner.wait_idle();
   const auto stats = runner.stats();
   ASSERT_EQ(stats.size(), 4u);
-  for (const JobStats& s : stats) EXPECT_TRUE(s.done) << s.label;
-  EXPECT_EQ(stats[0].attempts, 3u);
-  const std::vector<int> pids = {log[1], log[2], log[3], log[4], log[5],
-                                 log[6]};
-  for (usize i = 0; i < pids.size(); ++i)
-    for (usize j = i + 1; j < pids.size(); ++j)
-      EXPECT_NE(pids[i], pids[j]) << "slots " << i + 1 << ", " << j + 1;
+  for (const JobStats& s : stats) {
+    EXPECT_TRUE(s.done) << s.label;
+    EXPECT_EQ(s.user_data, "built here") << s.label;
+  }
+  EXPECT_NE(log[0], ::getpid());
+  for (usize i = 1; i < 4; ++i) EXPECT_EQ(log[i], log[0]) << i;
+}
+
+TEST(CampaignTest, ThreadModeBuildsKindBodiesOnTheWorkerThread) {
+  const auto submitter = std::this_thread::get_id();
+  const KindResolver kinds = [submitter](const JobKind&, const std::string&) {
+    return Body([submitter, built = std::this_thread::get_id()](
+                    JobContext& ctx) {
+      const bool here =
+          built == std::this_thread::get_id() && built != submitter;
+      ctx.record_user_data(here ? "built here" : "built elsewhere");
+    });
+  };
+  CampaignRunner runner(2, ExecutionMode::kThreads, kinds);
+  for (usize i = 0; i < 4; ++i)
+    (void)runner.submit_kind("job" + std::to_string(i), {}, {"any", ""});
+  runner.wait_idle();
+  for (const JobStats& s : runner.stats()) {
+    EXPECT_TRUE(s.done) << s.label;
+    EXPECT_EQ(s.user_data, "built here") << s.label;
+  }
+}
+
+TEST(CampaignTest, ResolverFailuresMatchAcrossModes) {
+  ADRIATIC_SKIP_WITHOUT_FORK();
+  // "digits" builds only from numeric params; any other kind is unknown.
+  const KindResolver kinds = [](const JobKind& kind,
+                                const std::string&) -> Body {
+    const bool digits =
+        !kind.params.empty() &&
+        kind.params.find_first_not_of("0123456789") == std::string::npos;
+    if (kind.name != "digits" || !digits) return {};
+    return [](JobContext&) {};
+  };
+  const auto sweep = [&](ExecutionMode mode) {
+    CampaignRunner runner(1, mode, kinds);
+    EXPECT_EQ(runner.mode(), mode);
+    JobOptions opt;
+    opt.max_attempts = 2;
+    (void)runner.submit_kind("unknown", opt, {"nope", "1"});
+    (void)runner.submit_kind("invalid", opt, {"digits", "x"});
+    (void)runner.submit_kind("valid", opt, {"digits", "1"});
+    runner.wait_idle();
+    return runner.stats();
+  };
+  const auto threads = sweep(ExecutionMode::kThreads);
+  const auto processes = sweep(ExecutionMode::kProcesses);
+  ASSERT_EQ(threads.size(), 3u);
+  ASSERT_EQ(processes.size(), 3u);
+  const char* errors[] = {"no job builder registered for kind 'nope'",
+                          "no job builder registered for kind 'digits'"};
+  for (usize i = 0; i < 2; ++i) {
+    for (const JobStats* s : {&threads[i], &processes[i]}) {
+      EXPECT_TRUE(s->failed) << s->label;
+      EXPECT_FALSE(s->quarantined) << s->label;
+      EXPECT_EQ(s->error, errors[i]);
+      EXPECT_EQ(s->attempts, 2u) << s->label;
+      EXPECT_EQ(s->worker_deaths, 0u) << s->label;
+    }
+  }
+  EXPECT_TRUE(threads[2].done);
+  EXPECT_TRUE(processes[2].done);
 }
 
 TEST(ChildReuseTest, ChildIsReplacedAfterItsJobLimit) {
   ADRIATIC_SKIP_WITHOUT_FORK();
   PidLog log;
-  const KindResolver kinds = test_kinds(log);
-  CampaignRunner runner(1, ExecutionMode::kProcesses);
-  runner.set_kind_resolver(kinds);
+  CampaignRunner runner(1, ExecutionMode::kProcesses, test_kinds(log));
   static_assert(kJobsPerChild + 2 <= PidLog::kSlots);
-  (void)submit_test_kind(runner, kinds, 0, {}, "gated-pid");
+  (void)submit_test_kind(runner, 0, {}, "gated-pid");
   for (usize i = 1; i < kJobsPerChild + 2; ++i)
-    (void)submit_test_kind(runner, kinds, i);
+    (void)submit_test_kind(runner, i);
   log.release();
   runner.wait_idle();
   for (usize i = 1; i < kJobsPerChild; ++i) ASSERT_EQ(log[i], log[0]) << i;
@@ -1268,17 +1360,15 @@ TEST(ChildReuseTest, ChildIsReplacedAfterItsJobLimit) {
 TEST(ChildReuseTest, DrainingJobsHookSeesNoLiveChildren) {
   ADRIATIC_SKIP_WITHOUT_FORK();
   PidLog log;
-  const KindResolver kinds = test_kinds(log);
   constexpr usize kJobs = 12;
-  CampaignRunner runner(3, ExecutionMode::kProcesses);
-  runner.set_kind_resolver(kinds);
+  CampaignRunner runner(3, ExecutionMode::kProcesses, test_kinds(log));
   std::atomic<usize> completed{0};
   std::atomic<usize> live_at_drain{~usize{0}};
   runner.set_completion_hook([&](const JobStats&) {
     if (completed.fetch_add(1) + 1 == kJobs)
       live_at_drain.store(runner.live_children());
   });
-  for (usize i = 0; i < kJobs; ++i) (void)submit_test_kind(runner, kinds, i);
+  for (usize i = 0; i < kJobs; ++i) (void)submit_test_kind(runner, i);
   runner.wait_idle();
   EXPECT_EQ(completed.load(), kJobs);
   EXPECT_EQ(live_at_drain.load(), 0u);
@@ -1290,9 +1380,7 @@ TEST(ChildReuseTest, ChildFailuresKeepVerdictsThroughTheKindPath) {
   // handed to a live child as a job frame; the job after it succeeds in a
   // fresh child.
   PidLog log;
-  const KindResolver kinds = test_kinds(log);
-  CampaignRunner runner(1, ExecutionMode::kProcesses);
-  runner.set_kind_resolver(kinds);
+  CampaignRunner runner(1, ExecutionMode::kProcesses, test_kinds(log));
   JobOptions segv;
   segv.debug_failure = DebugFailure::kSegv;
   JobOptions hang;
@@ -1306,10 +1394,10 @@ TEST(ChildReuseTest, ChildFailuresKeepVerdictsThroughTheKindPath) {
   exits.debug_exit_code = 42;
   const JobOptions failing[] = {segv, hang, silent, exits};
   usize slot = 0;
-  (void)submit_test_kind(runner, kinds, slot++, {}, "gated-pid");
+  (void)submit_test_kind(runner, slot++, {}, "gated-pid");
   for (const JobOptions& opt : failing) {
-    (void)submit_test_kind(runner, kinds, slot++, opt);
-    (void)submit_test_kind(runner, kinds, slot++);
+    (void)submit_test_kind(runner, slot++, opt);
+    (void)submit_test_kind(runner, slot++);
   }
   log.release();
   runner.wait_idle();
@@ -1340,13 +1428,11 @@ TEST(ChildReuseTest, ChildClosesInheritedDescriptors) {
   ASSERT_GE(file, 0);
   ASSERT_EQ(::pipe(pipe_fds), 0);
   PidLog log;
-  const KindResolver kinds = test_kinds(log);
-  CampaignRunner runner(2, ExecutionMode::kProcesses);
-  runner.set_kind_resolver(kinds);
+  CampaignRunner runner(2, ExecutionMode::kProcesses, test_kinds(log));
   // Both workers' first jobs wait at the gate, so each worker finds the
   // rest queued when its first job ends.
   for (usize i = 0; i < 6; ++i)
-    (void)submit_test_kind(runner, kinds, i, JobOptions{},
+    (void)submit_test_kind(runner, i, JobOptions{},
                            i < 2 ? "gated-fds" : "fds");
   log.release();
   runner.wait_idle();
